@@ -186,35 +186,45 @@ std::optional<std::string> check_exhaustive(
           instance.metric().distance(reqs[r].location, m);
   OMFLP_PERF_ADD(distance_lookups, n * points);
 
+  // Per configuration: each request's dual sum Σ_{e∈σ∩s_r} a_{r,e} does
+  // not depend on the point, so it is formed once; the clipped terms are
+  // then accumulated into one lhs per point, requests in index order
+  // (the same summation order per point as a point-major loop).
+  std::vector<double> lhs(points);
   const std::uint64_t num_configs = std::uint64_t{1} << s;
   for (std::uint64_t mask = 1; mask < num_configs; ++mask) {
     const CommoditySet config = set_from_mask(s, mask);
-    for (PointId m = 0; m < points; ++m) {
-      double lhs = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        std::uint64_t inter = mask & masks[r];
-        if (!inter) continue;
-        double sum = 0.0;
-        while (inter) {
-          const int bit = __builtin_ctzll(inter);
-          // Index of commodity `bit` within s_r = number of demanded
-          // commodities below it (dual rows are in ascending order).
-          const std::uint64_t below =
-              masks[r] & ((std::uint64_t{1} << bit) - 1);
-          sum += cert.duals[r][static_cast<std::size_t>(
-              __builtin_popcountll(below))];
-          inter &= inter - 1;
-        }
-        const double clipped = sum - dist[r * points + m];
-        if (clipped > 0.0) lhs += clipped;
+    std::fill(lhs.begin(), lhs.end(), 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::uint64_t inter = mask & masks[r];
+      if (!inter) continue;
+      double sum = 0.0;
+      while (inter) {
+        const int bit = __builtin_ctzll(inter);
+        // Index of commodity `bit` within s_r = number of demanded
+        // commodities below it (dual rows are in ascending order).
+        const std::uint64_t below =
+            masks[r] & ((std::uint64_t{1} << bit) - 1);
+        sum += cert.duals[r][static_cast<std::size_t>(
+            __builtin_popcountll(below))];
+        inter &= inter - 1;
       }
+      const double* d = dist.data() + r * points;
+      // Adding +0.0 for a non-positive term leaves lhs[m] (≥ +0) bitwise
+      // unchanged, so the branch-free form sums exactly the clipped terms.
+      for (PointId m = 0; m < points; ++m) {
+        const double clipped = sum - d[m];
+        lhs[m] += clipped > 0.0 ? clipped : 0.0;
+      }
+    }
+    for (PointId m = 0; m < points; ++m) {
       const double rhs = instance.cost().open_cost(m, config);
       OMFLP_PERF_ADD(verifier_checks, 1);
-      if (!tol_leq(lhs, rhs, tol))
+      if (!tol_leq(lhs[m], rhs, tol))
         return describe(
             ("dual constraint violated for config " + config.to_string())
                 .c_str(),
-            m, lhs, rhs);
+            m, lhs[m], rhs);
     }
   }
   return std::nullopt;

@@ -80,7 +80,10 @@ struct VerifyCertificateOptions {
   /// constraint (D) directly — the gold standard, independent of any
   /// cost-model structure claims. It runs when 2^|S| · n · |M| fits this
   /// work budget (and |S| ≤ 63); beyond it the checker falls back to the
-  /// structured sufficient conditions below.
+  /// structured sufficient conditions below. The per-request sums
+  /// Σ_{e∈σ∩s_r} a_{r,e} do not depend on the point m, so the path forms
+  /// them once per σ and sweeps every point's lhs from them; the work
+  /// estimate counts the (σ, r, m) terms all the same.
   std::size_t max_exhaustive_work = std::size_t{1} << 27;
 };
 

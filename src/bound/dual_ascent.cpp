@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "kernel/kernels.hpp"
-#include "metric/distance_oracle.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
@@ -261,9 +260,9 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
   const CommodityId s = instance.num_commodities();
 
   // Distance rows per *distinct* request location (requests cluster on
-  // few points in most scenarios), copied out of the oracle so worker
-  // threads only touch plain read-only memory.
-  DistanceOracle oracle(instance.metric_ptr(), options.distance_cache_limit);
+  // few points in most scenarios), filled straight from the metric so
+  // worker threads only touch plain read-only memory.
+  const MetricSpace& metric = instance.metric();
   std::vector<std::uint32_t> slot_of_point(points, ~std::uint32_t{0});
   std::vector<const double*> request_row(n, nullptr);
   std::vector<double> rows;
@@ -274,10 +273,8 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
     if (slot_of_point[loc] == ~std::uint32_t{0}) {
       slot_of_point[loc] = static_cast<std::uint32_t>(distinct++);
       rows.resize(distinct * points);
-      const double* src = oracle.row(loc);
-      std::copy(src, src + points,
-                rows.begin() + static_cast<std::ptrdiff_t>(
-                                   (distinct - 1) * points));
+      double* dst = rows.data() + (distinct - 1) * points;
+      for (PointId m = 0; m < points; ++m) dst[m] = metric.distance(loc, m);
       OMFLP_PERF_ADD(distance_lookups, points);
     }
   }

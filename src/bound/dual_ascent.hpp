@@ -55,9 +55,6 @@ class BoundUnsupportedError : public std::runtime_error {
 };
 
 struct DualAscentOptions {
-  /// DistanceOracle dense-matrix limit (|M| beyond it falls back to
-  /// virtual metric calls when materializing rows).
-  std::size_t distance_cache_limit = 4096;
   /// |S| cap for the exhaustive budget derivation on unstructured models
   /// (2^|S| configuration enumerations per distinct point).
   CommodityId max_exhaustive_commodities = 16;

@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "support/assert.hpp"
 
 namespace omflp {
 
 namespace {
+
+constexpr const char* kNoCover =
+    "solve_greedy_star: no candidate covers remaining pairs (full-S "
+    "candidates make this impossible)";
 
 struct Candidate {
   PointId point = 0;
@@ -59,6 +65,55 @@ std::vector<Candidate> build_candidates(const Instance& instance,
   return candidates;
 }
 
+/// Requests gaining coverage from a candidate, cheapest first by distance
+/// per newly covered commodity, and the candidate's best prefix ratio.
+struct StarEval {
+  struct Gain {
+    double unit_cost;  // d(m, r) / covered
+    double distance;
+    std::size_t covered;
+    std::size_t request;
+  };
+  std::vector<Gain> gains;
+  /// min over prefixes of (f + Σ distance) / Σ covered; +inf when no
+  /// prefix has a finite ratio or `gains` is empty.
+  double ratio = std::numeric_limits<double>::infinity();
+  /// Length of the first prefix attaining `ratio`.
+  std::size_t prefix = 0;
+};
+
+StarEval evaluate_star(const Instance& instance, const Candidate& c,
+                       const std::vector<CommoditySet>& uncovered) {
+  StarEval eval;
+  for (std::size_t i = 0; i < uncovered.size(); ++i) {
+    const CommoditySet newly = uncovered[i] & c.config;
+    if (newly.empty()) continue;
+    const double d = instance.metric().distance(
+        instance.request(static_cast<RequestId>(i)).location, c.point);
+    const std::size_t covered = newly.count();
+    eval.gains.push_back(
+        StarEval::Gain{d / static_cast<double>(covered), d, covered, i});
+  }
+  std::sort(eval.gains.begin(), eval.gains.end(),
+            [](const StarEval::Gain& a, const StarEval::Gain& b) {
+              if (a.unit_cost != b.unit_cost)
+                return a.unit_cost < b.unit_cost;
+              return a.request < b.request;
+            });
+  double cost_acc = c.open_cost;
+  std::size_t covered_acc = 0;
+  for (std::size_t prefix = 0; prefix < eval.gains.size(); ++prefix) {
+    cost_acc += eval.gains[prefix].distance;
+    covered_acc += eval.gains[prefix].covered;
+    const double ratio = cost_acc / static_cast<double>(covered_acc);
+    if (ratio < eval.ratio) {
+      eval.ratio = ratio;
+      eval.prefix = prefix + 1;
+    }
+  }
+  return eval;
+}
+
 }  // namespace
 
 OfflineSolution solve_greedy_star(const Instance& instance,
@@ -77,85 +132,81 @@ OfflineSolution solve_greedy_star(const Instance& instance,
     open_pairs += r.commodities.count();
   }
 
+  // Lazy (CELF) queue: min-heap on (key, candidate index), one entry per
+  // candidate that still covers something. A key is the candidate's best
+  // prefix ratio as of round evaluated_in[c]; it is exact ("fresh") while
+  // no facility has been committed since.
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
+  std::size_t round = 0;
+  std::vector<std::size_t> evaluated_in(candidates.size(), 0);
+  const auto fresh = [&](std::size_t c) { return evaluated_in[c] == round; };
+  // Evaluates a candidate and queues it unless it covers nothing (then it
+  // never will again: coverage only shrinks).
+  const auto evaluate = [&](std::size_t c) {
+    const StarEval eval = evaluate_star(instance, candidates[c], uncovered);
+    evaluated_in[c] = round;
+    if (!eval.gains.empty()) queue.push({eval.ratio, c});
+  };
+  for (std::size_t c = 0; c < candidates.size(); ++c) evaluate(c);
+
   std::vector<PlacedFacility> opened;
+  std::vector<Entry> near;
   while (open_pairs > 0) {
-    double best_ratio = std::numeric_limits<double>::infinity();
-    const Candidate* best_candidate = nullptr;
-    std::size_t best_prefix = 0;
-
-    struct Gain {
-      double unit_cost;   // d(m, r) / covered
-      double distance;
-      std::size_t covered;
-      std::size_t request;
-    };
-    auto gains_for = [&](const Candidate& c) {
-      // Requests gaining coverage from this candidate, cheapest first by
-      // distance per newly covered commodity.
-      std::vector<Gain> gains;
-      for (std::size_t i = 0; i < uncovered.size(); ++i) {
-        const CommoditySet newly = uncovered[i] & c.config;
-        if (newly.empty()) continue;
-        const double d = instance.metric().distance(
-            instance.request(i).location, c.point);
-        const std::size_t covered = newly.count();
-        gains.push_back(
-            Gain{d / static_cast<double>(covered), d, covered, i});
-      }
-      std::sort(gains.begin(), gains.end(),
-                [](const Gain& a, const Gain& b) {
-                  if (a.unit_cost != b.unit_cost)
-                    return a.unit_cost < b.unit_cost;
-                  return a.request < b.request;
-                });
-      return gains;
-    };
-
-    for (const Candidate& c : candidates) {
-      const std::vector<Gain> gains = gains_for(c);
-      if (gains.empty()) continue;
-      double cost_acc = c.open_cost;
-      std::size_t covered_acc = 0;
-      for (std::size_t prefix = 0; prefix < gains.size(); ++prefix) {
-        cost_acc += gains[prefix].distance;
-        covered_acc += gains[prefix].covered;
-        const double ratio = cost_acc / static_cast<double>(covered_acc);
-        if (ratio < best_ratio) {
-          best_ratio = ratio;
-          best_candidate = &c;
-          best_prefix = prefix + 1;
-        }
+    OMFLP_CHECK(!queue.empty(), kNoCover);
+    const auto [best_ratio, top] = queue.top();
+    queue.pop();
+    if (!fresh(top)) {
+      evaluate(top);
+      continue;
+    }
+    // The top is exact and every other key a lower bound, up to rounding.
+    // Stale keys within 1e-9 relative of the top are re-evaluated before
+    // committing, so a near-tie that re-summation could flip is decided
+    // on exact values, as an eager scan would decide it.
+    const double near_limit = best_ratio + 1e-9 * std::abs(best_ratio);
+    near.clear();
+    while (!queue.empty() && queue.top().first <= near_limit) {
+      near.push_back(queue.top());
+      queue.pop();
+    }
+    queue.push({best_ratio, top});
+    bool refreshed = false;
+    for (const Entry& entry : near) {
+      if (fresh(entry.second)) {
+        queue.push(entry);
+      } else {
+        evaluate(entry.second);
+        refreshed = true;
       }
     }
-    OMFLP_CHECK(best_candidate != nullptr,
-                "solve_greedy_star: no candidate covers remaining pairs "
-                "(full-S candidates make this impossible)");
+    if (refreshed) continue;
+    OMFLP_CHECK(best_ratio < std::numeric_limits<double>::infinity(),
+                kNoCover);
 
     // Open the chosen facility (merging with an existing one at the same
     // point — subadditivity makes the union no more expensive) and cover
     // exactly the chosen prefix's pairs. Requests beyond the prefix stay
     // open: covering them here would strand them on a distant facility
     // that was never priced for them.
+    const Candidate& best = candidates[top];
     bool merged = false;
     for (PlacedFacility& f : opened) {
-      if (f.point == best_candidate->point) {
-        f.config |= best_candidate->config;
+      if (f.point == best.point) {
+        f.config |= best.config;
         merged = true;
         break;
       }
     }
-    if (!merged)
-      opened.push_back(
-          PlacedFacility{best_candidate->point, best_candidate->config});
-    const std::vector<Gain> chosen = gains_for(*best_candidate);
-    OMFLP_CHECK(best_prefix <= chosen.size(),
-                "solve_greedy_star: stale prefix");
-    for (std::size_t p = 0; p < best_prefix; ++p) {
-      const std::size_t i = chosen[p].request;
-      const CommoditySet newly = uncovered[i] & best_candidate->config;
+    if (!merged) opened.push_back(PlacedFacility{best.point, best.config});
+    const StarEval chosen = evaluate_star(instance, best, uncovered);
+    for (std::size_t p = 0; p < chosen.prefix; ++p) {
+      const std::size_t i = chosen.gains[p].request;
+      const CommoditySet newly = uncovered[i] & best.config;
       open_pairs -= newly.count();
       uncovered[i] -= newly;
     }
+    ++round;
   }
 
   OfflineSolution solution;

@@ -15,8 +15,9 @@
 // concurrent writers; the engine snapshots after joining its workers.
 // Quantiles are computed from the bucket counts: quantile(q) returns the
 // representative (midpoint) value of the bucket holding the ceil(q*n)-th
-// smallest sample, so p50/p95/p99 carry the same <= 12.5% relative error
-// as the buckets themselves.
+// smallest sample, clamped to the recorded maximum, so p50/p95/p99 carry
+// the same <= 12.5% relative error as the buckets themselves and never
+// exceed max_ns.
 #pragma once
 
 #include <algorithm>
@@ -188,10 +189,13 @@ class LatencyHistogram {
           static_cast<unsigned __int128>(q_num) * snap.count;
       const std::uint64_t target = std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>((product + q_den - 1) / q_den));
+      // A bucket's representative may lie above every sample in it; no
+      // quantile may exceed the recorded maximum.
       std::uint64_t cumulative = 0;
       for (int b = 0; b < kNumBuckets; ++b) {
         cumulative += counts[static_cast<std::size_t>(b)];
-        if (cumulative >= target) return bucket_value(b);
+        if (cumulative >= target)
+          return std::min(bucket_value(b), snap.max_ns);
       }
       return snap.max_ns;
     };

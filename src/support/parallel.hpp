@@ -2,10 +2,12 @@
 //
 // Competitive-ratio experiments are embarrassingly parallel over (parameter
 // point, seed) pairs; parallel_for distributes index ranges over a pool of
-// std::jthread workers with static chunking (work items here have similar
-// cost, so static beats a work-stealing queue in both simplicity and
-// determinism of scheduling). Exceptions from workers are captured and
-// rethrown on the calling thread.
+// std::jthread workers that claim fixed-size chunks dynamically through
+// one shared atomic cursor (about eight chunks per worker, so uneven items
+// balance without a work-stealing queue). Which worker runs which index is
+// therefore not fixed; callers write into per-index slots and merge in
+// index order. Exceptions from workers are captured and rethrown on the
+// calling thread.
 #pragma once
 
 #include <cstddef>

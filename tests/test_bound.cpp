@@ -218,6 +218,34 @@ TEST_F(CertificateTamper, NegativeDualIsRejected) {
   EXPECT_NE(verify_certificate(*instance_, cert), std::nullopt);
 }
 
+// A violation only a multi-commodity configuration exposes: one request at
+// the single point demands {3, 7} with duals 0.9 each under g(k) = √k.
+// Every singleton (0.9 ≤ 1) and the full set (1.8 ≤ √12) hold, so the
+// canonical slack audit accepts the certificate; the pair {3, 7} fails
+// (1.8 > √2). |S| = 12 puts it on the exhaustive path, which must reject
+// it and report {3, 7} — the smallest violating mask — at point 0.
+TEST(CertificateExhaustive, CatchesAPairViolationTheAuditCannot) {
+  constexpr CommodityId kS = 12;
+  const Instance instance(std::make_shared<SinglePointMetric>(),
+                          std::make_shared<PolynomialCostModel>(kS, 1.0),
+                          {make_request(0, kS, {3, 7})}, "pair-violation");
+  DualCertificate cert;
+  cert.num_requests = 1;
+  cert.num_commodities = kS;
+  cert.num_points = 1;
+  cert.duals = {{0.9, 0.9}};
+  cert.objective = 1.8;
+  // The audit's canonical value: the binding singleton, 1 − 0.9.
+  cert.facility_slack = {1.0 - 0.9};
+
+  const std::optional<std::string> violation =
+      verify_certificate(instance, cert);
+  ASSERT_NE(violation, std::nullopt);
+  EXPECT_NE(violation->find("config {3,7}/12"), std::string::npos)
+      << *violation;
+  EXPECT_NE(violation->find("at point 0"), std::string::npos) << *violation;
+}
+
 // ----------------------------------------------------------- serialization ---
 
 TEST(Certificate, RoundTripPreservesEveryField) {

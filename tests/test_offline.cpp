@@ -1,9 +1,16 @@
 // Offline solver tests: the assignment DP, the exact single-point
 // set-cover solvers (size-only vs general agreement), the exhaustive tiny
-// solver, local search quality, and the OPT estimation front-end.
+// solver, local search quality, greedy star against its golden table, and
+// the OPT estimation front-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
@@ -14,6 +21,8 @@
 #include "offline/local_search.hpp"
 #include "offline/opt_estimate.hpp"
 #include "offline/single_point.hpp"
+#include "scenario/scenario_registry.hpp"
+#include "scenario/stream_registry.hpp"
 
 namespace omflp {
 namespace {
@@ -286,6 +295,304 @@ TEST(GreedyStar, HandlesLargerWorkloads) {
   // with the request's demand at every distinct request location).
   const OfflineSolution ls = solve_local_search(inst);
   EXPECT_LE(greedy.cost, 3.0 * ls.cost);
+}
+
+// ------------------------------------------------- greedy-star golden ---
+
+// solve_greedy_star's cost (%.17g) and facilities (opening order), and
+// estimate_opt's method and cost, as the eager greedy scan produced them:
+// every registered static scenario at seeds 1-3, and the four hotspot-grid
+// lease survivor sets the stream-ratio benchmark bounds first at seed 1
+// (events 512, mean lease 48). The lazy greedy must match bit for bit.
+struct GreedyGolden {
+  const char* scenario;
+  std::uint64_t seed;
+  const char* cost;
+  const char* facilities;
+  const char* opt_method;
+  const char* opt_cost;
+};
+
+constexpr GreedyGolden kStaticGolden[] = {
+    {"clustered", 1, "79.092940365764264",
+     "51:{1,2,3,10}/12 35:{0,6,8,11}/12 63:{3,6,7,9}/12 "
+     "72:{2,8,10}/12 87:{0,5,8}/12 17:{1,2,11}/12 62:{3,6,7,9}/12 "
+     "16:{1,2,8}/12 37:{0,6,8,11}/12 52:{1,2,3,10}/12 98:{9}/12 "
+     "71:{2,8,10}/12 9:{8}/12 31:{11}/12 85:{11}/12 43:{1}/12 "
+     "94:{8,9}/12 91:{0,5}/12 7:{11}/12 81:{8}/12",
+     "certificate(upper-bound)", "72.246645807503626"},
+    {"clustered", 2, "79.085069559890442",
+     "38:{1,4,9,10}/12 54:{4,5,7,11}/12 27:{0,3,4,8}/12 "
+     "91:{2,5,8}/12 8:{0,7,8,11}/12 7:{0,7,8,11}/12 71:{0,10,11}/12 "
+     "72:{0,6,10}/12 98:{1}/12 34:{0,3,8}/12 52:{1,4,9,10}/12 "
+     "57:{4,5,7,11}/12 100:{2,5,8}/12 26:{3}/12 55:{7}/12 86:{1}/12 "
+     "6:{0,11}/12 77:{6}/12",
+     "certificate(upper-bound)", "70.142322518834618"},
+    {"clustered", 3, "84.030889373624859",
+     "68:{6,7,8,11}/12 36:{1,2,5,10}/12 73:{4,5,8,10}/12 "
+     "15:{4,5,7}/12 89:{0,5,9,11}/12 40:{1,4,5}/12 12:{4,5,7,8}/12 "
+     "72:{4,5,8,10}/12 88:{0,11}/12 39:{5,7}/12 10:{8}/12 "
+     "60:{6,7,8,11}/12 24:{2,5,10}/12 44:{4}/12 93:{5,9,11}/12 "
+     "41:{1,7}/12 55:{6,7,11}/12 21:{4}/12 23:{10}/12",
+     "certificate(upper-bound)", "68.684574921385376"},
+    {"figure3", 1, "2000002.0004",
+     "1:{0,2}/3 2:{1}/3 4:{0,1,2}/3",
+     "local-search", "2.0005999999999999"},
+    {"figure3", 2, "2000002.0004",
+     "1:{0,2}/3 2:{1}/3 4:{0,1,2}/3",
+     "local-search", "2.0005999999999999"},
+    {"figure3", 3, "2000002.0004",
+     "1:{0,2}/3 2:{1}/3 4:{0,1,2}/3",
+     "local-search", "2.0005999999999999"},
+    {"heavy-tail", 1, "6.9282032302755088",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/13",
+     "certificate(exact)", "6.9282032302755088"},
+    {"heavy-tail", 2, "6.9282032302755088",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/13",
+     "certificate(exact)", "6.9282032302755088"},
+    {"heavy-tail", 3, "6.9282032302755088",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/13",
+     "certificate(exact)", "6.9282032302755088"},
+    {"service-network", 1, "141.52921517489236",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/12 2:{0,1,2,3,4,5,6,7,10}/12 "
+     "1:{0,1,2,3,5,6,7,8,9}/12 30:{0,1,2,3,4,6,7,8,10}/12 "
+     "7:{0,1,2,3,4,5,8,9}/12 10:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "12:{0,2,3,4,5,8}/12 6:{0,2,3,4,6,7,8}/12 "
+     "29:{0,1,2,3,4,5,6,7,8,9,10,11}/12 31:{0,1,3,7,9,11}/12 "
+     "3:{0,1,3,5,6,8,10}/12 17:{0,1,2,4,5,10}/12 "
+     "20:{0,1,2,3,5,6,9}/12 26:{0,1,4,5,6}/12 22:{0,1,3,5,7}/12 "
+     "21:{0,7,11}/12 4:{0,1,3,7,9,11}/12 11:{0,1,4,6,7}/12 "
+     "13:{0,2,3,4}/12 24:{0,1,2,3}/12 27:{0,1,2,10}/12 23:{0,1,4}/12 "
+     "8:{0,1}/12 9:{1,10}/12 25:{1,2,3,4,5}/12 28:{0,6}/12 5:{3}/12 "
+     "14:{3}/12 15:{2}/12 16:{6}/12 18:{0}/12",
+     "local-search", "137.70222067461609"},
+    {"service-network", 2, "130.95866401452309",
+     "0:{0,1,2,3,4,5,6,7,8,9,11}/12 2:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "3:{0,1,2,3,4,5,6,8,9}/12 7:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "4:{0,1,2,3,4,6,7,9,10,11}/12 1:{0,1,2,3,4,5,7,8,10}/12 "
+     "24:{0,1,2,4,5,8,10}/12 18:{0,1,2,3,5,6,7,9,11}/12 "
+     "13:{0,1,2,3,4,5,6,7,8,9,10,11}/12 27:{0,1,3,4,5,6,8}/12 "
+     "5:{0,1,2,3,4,5,7,9}/12 6:{0,2,3,7,8,9,11}/12 19:{0,1,5,7}/12 "
+     "23:{0,1,4,5,7,9}/12 30:{0,1,3,6,7,9,11}/12 11:{0,1,2,4}/12 "
+     "28:{0,1,2,4}/12 25:{0,1,2,3,4,5}/12 26:{0,2,3,5,6,9}/12 "
+     "29:{0,1,2,3,7}/12 17:{0,3,5}/12 12:{0,4}/12 22:{0,5}/12 "
+     "8:{0}/12 9:{0}/12 10:{5}/12 20:{1}/12",
+     "local-search", "130.41233006754277"},
+    {"service-network", 3, "136.01656760853169",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/12 7:{0,1,2,3,4,5,6,7,8}/12 "
+     "5:{0,1,2,4,5,6,7,8,10,11}/12 2:{0,1,2,3,5,6,8,10,11}/12 "
+     "4:{0,1,2,3,4,6,7,8,9,10,11}/12 14:{0,1,2,3,4,5,6,7,9,10}/12 "
+     "6:{0,1,2,4,7,8,9,11}/12 10:{0,1,2,3,5,8,9,11}/12 "
+     "1:{0,1,2,3,4,6,7,8}/12 15:{0,1,2,3,4,7,8,11}/12 "
+     "12:{0,1,2,4,6,11}/12 19:{0,1,2,4,5,9}/12 26:{0,1,2,3,5,7}/12 "
+     "8:{0,2,4,7}/12 31:{0,1,2,3,4,7,9}/12 3:{0,1,2,3,4,6}/12 "
+     "21:{1,2,3,5,10}/12 22:{0,2,6,7,9}/12 24:{0,1,3,9,11}/12 "
+     "13:{0,1,3}/12 23:{0,6,9,11}/12 30:{0,1,2,8}/12 9:{0,1,6}/12 "
+     "16:{0,1,9}/12 25:{0,5,8}/12 20:{4,5,7}/12 29:{4}/12",
+     "local-search", "135.49968662124928"},
+    {"shared-demand", 1, "4",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}/16",
+     "single-point-dp", "4"},
+    {"shared-demand", 2, "4",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}/16",
+     "single-point-dp", "4"},
+    {"shared-demand", 3, "4",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}/16",
+     "single-point-dp", "4"},
+    {"single-point-mixed", 1, "3.4641016151377544",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/12",
+     "single-point-dp", "3.4641016151377544"},
+    {"single-point-mixed", 2, "3.4641016151377544",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/12",
+     "single-point-dp", "3.4641016151377544"},
+    {"single-point-mixed", 3, "3.4641016151377544",
+     "0:{0,1,2,3,4,5,6,7,8,9,10,11}/12",
+     "single-point-dp", "3.4641016151377544"},
+    {"theorem18", 1, "2.8284271247461903",
+     "0:{5,10,15,22,39,54,56,61}/64",
+     "certificate(exact)", "2.8284271247461903"},
+    {"theorem18", 2, "2.8284271247461903",
+     "0:{0,23,38,43,50,52,56,60}/64",
+     "certificate(exact)", "2.8284271247461903"},
+    {"theorem18", 3, "2.8284271247461903",
+     "0:{0,4,15,17,20,30,46,54}/64",
+     "certificate(exact)", "2.8284271247461903"},
+    {"theorem2", 1, "1",
+     "0:{5,10,15,22,39,54,56,61}/64",
+     "certificate(exact)", "1"},
+    {"theorem2", 2, "1",
+     "0:{0,23,38,43,50,52,56,60}/64",
+     "certificate(exact)", "1"},
+    {"theorem2", 3, "1",
+     "0:{0,4,15,17,20,30,46,54}/64",
+     "certificate(exact)", "1"},
+    {"uniform-line", 1, "142.18753498149326",
+     "10:{0,1,2,3,4,5,7,9}/12 23:{0,1,2,3,9,10}/12 "
+     "5:{0,1,2,3,4,5,7,8,11}/12 2:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "11:{0,1,2,3,4,5,6,7,8,9,10,11}/12 22:{0,1,2,3,4,5,6,10}/12 "
+     "29:{0,1,2,4,5,11}/12 21:{0,1,2,5,7,10,11}/12 "
+     "7:{0,1,2,3,4,5}/12 13:{0,1,2,3,4,6,7}/12 "
+     "17:{0,1,2,3,4,7,9,10,11}/12 16:{0,1,2,3,5,6,10,11}/12 "
+     "25:{0,1,2,3,4,11}/12 28:{0,1,3,4,5,6,10}/12 "
+     "12:{0,1,4,5,7,8}/12 26:{0,1,2,3}/12 0:{0,1,3,6}/12 "
+     "18:{0,1,2,3,4,9}/12 20:{0,1,2,4,6,8,10}/12 31:{0,1,2,7,10}/12 "
+     "24:{0,6,9,11}/12 30:{0,2,6,11}/12 1:{2,4,9,10}/12 "
+     "4:{0,3,7,10}/12 14:{7}/12 6:{1,4,5,6,9}/12 8:{1,2,3}/12 "
+     "19:{0,9,10}/12 9:{0,1,8}/12 3:{5,7,8}/12",
+     "local-search", "139.91772225970806"},
+    {"uniform-line", 2, "140.4452639487854",
+     "2:{0,1,2,4,5,6,8,9,10,11}/12 17:{0,3,4,5,6,11}/12 "
+     "22:{0,1,2,3,4,5,6,7,8,9,10,11}/12 23:{0,2,3,5,6,8,10,11}/12 "
+     "13:{0,1,2,3,4,6,7}/12 24:{0,1,2,3,4,7,10}/12 "
+     "11:{0,1,3,4,5,11}/12 31:{0,1,2,4,6,9,10}/12 16:{0,1,5,6,8}/12 "
+     "1:{0,1,2,3,4,5,7,8}/12 15:{0,1,4,6,8,9,10}/12 8:{0,6}/12 "
+     "12:{0,1,3,4,5,6,7}/12 25:{0,2,3,6,8,9,11}/12 10:{0,1,2,3}/12 "
+     "6:{0,2,4,5,6,7,8}/12 7:{0,2,5,9,10}/12 20:{0,1,2,3,5,6,7}/12 "
+     "18:{0,2,5,7}/12 28:{0,1,4,5,9,10}/12 9:{0,5,10}/12 "
+     "26:{0,1,2,3,4,5,6,7,8,9,10,11}/12 29:{0,1,6,11}/12 "
+     "30:{0,2,7,8}/12 0:{1,2,6,11}/12 3:{0,3,5}/12 4:{0,4,7}/12 "
+     "27:{0,2,5}/12 5:{3,8}/12 14:{0,1,2}/12",
+     "local-search", "135.79450065275469"},
+    {"uniform-line", 3, "146.07135075179005",
+     "26:{0,1,2,3,4,5,8,9,11}/12 5:{0,1,2,4,5,11}/12 "
+     "7:{0,1,2,3,4,5,6,7,8,9,10,11}/12 29:{0,1,2,3,4}/12 "
+     "3:{0,1,2,3,4,5,10}/12 6:{0,1,2,3,4,5,7,10,11}/12 "
+     "25:{0,1,2,4,5,6,7,8}/12 10:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "12:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "16:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "31:{0,1,2,3,4,5,6,7,8,9,10,11}/12 0:{0,1,2,3,9}/12 "
+     "1:{0,1,2,5,6,7,8}/12 11:{1,2,6,7,8}/12 24:{0,1,4,10,11}/12 "
+     "30:{0,1,2,3,4,5,7,8}/12 8:{0,1,3,4,6,10}/12 "
+     "2:{0,2,3,8,9,10}/12 27:{0,1,2}/12 21:{1,2,3,4,7,8}/12 "
+     "22:{0,1,2,6}/12 23:{1,2,7,11}/12 28:{2,3,5,10}/12 4:{0,3,6}/12 "
+     "9:{1,3,8,10}/12 14:{0,1,2,8}/12 20:{0,2,9}/12 13:{0,6}/12 "
+     "18:{1,6}/12 15:{2}/12 17:{7}/12",
+     "local-search", "141.97715703085598"},
+    {"zooming", 1, "18.906250000000004",
+     "61:{0,1,2,3}/8 12:{0,1,2,3}/8 1:{0,1,2,3}/8 2:{0,1,2,3}/8 "
+     "3:{0,1,2,3}/8 4:{0,1,2,3}/8 5:{0,1,2,3}/8 6:{0,1,2,3}/8 "
+     "7:{0,1,2,3}/8",
+     "greedy-star", "18.906250000000004"},
+    {"zooming", 2, "18.906250000000004",
+     "61:{0,1,2,3}/8 12:{0,1,2,3}/8 1:{0,1,2,3}/8 2:{0,1,2,3}/8 "
+     "3:{0,1,2,3}/8 4:{0,1,2,3}/8 5:{0,1,2,3}/8 6:{0,1,2,3}/8 "
+     "7:{0,1,2,3}/8",
+     "greedy-star", "18.906250000000004"},
+    {"zooming", 3, "18.906250000000004",
+     "61:{0,1,2,3}/8 12:{0,1,2,3}/8 1:{0,1,2,3}/8 2:{0,1,2,3}/8 "
+     "3:{0,1,2,3}/8 4:{0,1,2,3}/8 5:{0,1,2,3}/8 6:{0,1,2,3}/8 "
+     "7:{0,1,2,3}/8",
+     "greedy-star", "18.906250000000004"},
+};
+
+constexpr GreedyGolden kSurvivorGolden[] = {
+    {"hotspot-grid", 5370104451937005156ULL, "85.807254794693947",
+     "83:{0,1,2,3,4,5,6,7,8,9,10,11}/12 95:{0,3,6,8}/12 "
+     "74:{0,2,4,5,8}/12 82:{0,2,3,4,8}/12 "
+     "100:{0,1,2,3,4,5,6,7,8,9,10,11}/12 61:{0,1,2,9}/12 "
+     "107:{0,1}/12 39:{0,4,6,7}/12 60:{1,4,6,10}/12 72:{0,1,3,7}/12 "
+     "105:{0,5,6,9,11}/12 89:{0,8,11}/12 94:{2,4,6,10}/12 "
+     "119:{0,1,10}/12 135:{1,2,10}/12 34:{0,4}/12 40:{1,7}/12 "
+     "68:{1,3}/12 78:{2,8}/12 62:{0}/12 77:{0}/12 92:{7}/12 "
+     "99:{4}/12 101:{7}/12",
+     "local-search", "82.899205205764503"},
+    {"hotspot-grid", 4402736476727238823ULL, "93.983938749324921",
+     "10:{0,1,3,8}/12 9:{0,1,2,4}/12 53:{0,2,4,5,9}/12 11:{1,2,8}/12 "
+     "23:{2,3,4,6}/12 28:{0,4,7,8}/12 33:{0,2,8,11}/12 "
+     "41:{0,2,4,5}/12 105:{1,2,7,9}/12 140:{0,1,2,11}/12 "
+     "20:{0,1,10}/12 22:{0,1,4}/12 48:{0,4,5}/12 51:{2,8,11}/12 "
+     "91:{0,5,8}/12 94:{1,2,7}/12 143:{1,4,5}/12 39:{0,1}/12 "
+     "55:{0,2}/12 63:{0,5}/12 65:{4,7}/12 104:{5,6}/12 139:{1,3}/12 "
+     "142:{1,2}/12 17:{4}/12 49:{2}/12 56:{4}/12 76:{0}/12 87:{2}/12",
+     "greedy-star", "93.983938749324921"},
+    {"hotspot-grid", 5205749391261136391ULL, "81.074858258304872",
+     "92:{0,1,2,3,4,8,11}/12 27:{0,3,4}/12 54:{0,2,4,6,7,9}/12 "
+     "69:{0,1,2,10}/12 55:{1,4,7,11}/12 44:{0,1,3,4,10,11}/12 "
+     "52:{5,8,10,11}/12 57:{0,1,3,4}/12 58:{0,2,3,11}/12 "
+     "63:{0,1,6,8}/12 66:{0,2,6,8}/12 80:{2,3,7,8}/12 56:{0,1,2}/12 "
+     "67:{0,1,11}/12 116:{1,3,5}/12 118:{0,1,3,8,10}/12 53:{0,7}/12 "
+     "82:{0,1}/12 26:{1}/12 65:{9}/12 90:{8}/12 101:{1}/12 "
+     "126:{0}/12",
+     "greedy-star", "81.074858258304872"},
+    {"hotspot-grid", 1918039438700685066ULL, "82.840549070943155",
+     "122:{0,1,2,3,4,10}/12 20:{0,3,8,9}/12 54:{0,1,3,4,9}/12 "
+     "8:{0,3,4,8}/12 46:{0,3,6,9}/12 53:{4}/12 76:{5,7,8,10}/12 "
+     "85:{0,1,2,3}/12 43:{0,1,4,9}/12 49:{0,1,2}/12 65:{2,5,9}/12 "
+     "88:{0,1,3}/12 98:{0,1,3}/12 120:{1,9,11}/12 135:{0,1,2}/12 "
+     "30:{0,1,2,3,6,9}/12 68:{0,1,2,3}/12 108:{0,2,4,10,11}/12 "
+     "4:{1,4}/12 44:{0,3}/12 124:{3,6}/12 132:{0,2}/12 42:{0}/12",
+     "local-search", "81.405671200514561"},
+};
+
+std::string exact(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+void expect_greedy_golden(const Instance& instance, const GreedyGolden& g) {
+  const OfflineSolution greedy = solve_greedy_star(instance);
+  std::string facilities;
+  for (const PlacedFacility& f : greedy.facilities) {
+    if (!facilities.empty()) facilities += ' ';
+    facilities += std::to_string(f.point) + ':' + f.config.to_string();
+  }
+  EXPECT_EQ(exact(greedy.cost), g.cost) << g.scenario << " seed " << g.seed;
+  EXPECT_EQ(facilities, g.facilities) << g.scenario << " seed " << g.seed;
+}
+
+void expect_opt_golden(const OptEstimate& est, const GreedyGolden& g) {
+  EXPECT_EQ(est.method, g.opt_method) << g.scenario << " seed " << g.seed;
+  EXPECT_EQ(exact(est.cost), g.opt_cost) << g.scenario << " seed " << g.seed;
+}
+
+bool same_input(const Instance& a, const Instance& b) {
+  const std::size_t points = a.metric().num_points();
+  if (a.num_requests() != b.num_requests() ||
+      points != b.metric().num_points() ||
+      a.cost().description() != b.cost().description())
+    return false;
+  for (RequestId r = 0; r < a.num_requests(); ++r)
+    if (a.request(r).location != b.request(r).location ||
+        !(a.request(r).commodities == b.request(r).commodities))
+      return false;
+  for (PointId p = 0; p < points; ++p)
+    for (PointId q = 0; q < points; ++q)
+      if (a.metric().distance(p, q) != b.metric().distance(p, q))
+        return false;
+  return true;
+}
+
+TEST(GreedyStarGolden, StaticScenariosMatchTheEagerScan) {
+  const ScenarioRegistry& registry = default_scenario_registry();
+  std::vector<std::string> covered;
+  // estimate_opt is deterministic, so on seed-independent constructions
+  // (zooming's local search alone takes seconds) it runs once per input.
+  std::vector<std::pair<Instance, OptEstimate>> estimated;
+  for (const GreedyGolden& g : kStaticGolden) {
+    const Instance instance = registry.make(g.scenario, g.seed);
+    expect_greedy_golden(instance, g);
+    auto known = std::find_if(
+        estimated.begin(), estimated.end(),
+        [&](const auto& e) { return same_input(e.first, instance); });
+    if (known == estimated.end())
+      known = estimated.emplace(known, instance, estimate_opt(instance));
+    expect_opt_golden(known->second, g);
+    if (covered.empty() || covered.back() != g.scenario)
+      covered.emplace_back(g.scenario);
+  }
+  EXPECT_EQ(covered, registry.names());
+}
+
+TEST(GreedyStarGolden, StreamRatioSurvivorSetsMatchTheEagerScan) {
+  for (const GreedyGolden& g : kSurvivorGolden) {
+    const Instance survivors =
+        default_stream_scenario_registry()
+            .make(g.scenario, g.seed, {{"events", 512}, {"mean_lease", 48}})
+            .surviving_instance();
+    expect_greedy_golden(survivors, g);
+    expect_opt_golden(estimate_opt(survivors), g);
+  }
 }
 
 // --------------------------------------------------------- opt estimate --

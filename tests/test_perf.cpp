@@ -492,6 +492,25 @@ TEST(LatencyHistogram, QuantileTargetsAreExactIntegers) {
   EXPECT_NEAR(pair.p50_ns, 100.0, 0.13 * 100.0);
 }
 
+TEST(LatencyHistogram, QuantilesNeverExceedTheMaximum) {
+  // 960 ns opens the bucket [960, 1024), whose midpoint 992 lies above
+  // every sample: each quantile must report the maximum instead.
+  ASSERT_GT(LatencyHistogram::bucket_value(
+                LatencyHistogram::bucket_index(960)),
+            960.0);
+  LatencyHistogram histogram;
+  for (int i = 0; i < 100; ++i) histogram.record_ns(960.0);
+  const LatencySnapshot snap = histogram.snapshot();
+  EXPECT_DOUBLE_EQ(snap.max_ns, 960.0);
+  for (const double q : {snap.p50_ns, snap.p95_ns, snap.p99_ns,
+                         snap.p999_ns})
+    EXPECT_DOUBLE_EQ(q, 960.0);
+
+  LatencyBaseline baseline;
+  const LatencySnapshot delta = histogram.snapshot_delta(baseline);
+  EXPECT_DOUBLE_EQ(delta.p99_ns, 960.0);
+}
+
 TEST(LatencyHistogram, DeltaSnapshotsFlagTheCumulativeMax) {
   LatencyHistogram histogram;
   histogram.record_ns(5000.0);
