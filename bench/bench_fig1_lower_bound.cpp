@@ -70,7 +70,7 @@ int main() {
   std::cout << "\nFigure 1 rounds view (PD-OMFLP, |S| = 64, one run):\n\n";
   const Instance inst = default_scenario_registry().make(
       "theorem2", /*seed=*/1, {{"commodities", 64.0}});
-  PdOmflp pd{PdOptions{.record_trace = true}};
+  PdOmflp pd;
   const SolutionLedger ledger = run_online(pd, inst);
   TableWriter rounds({"round", "event", "facility config size",
                       "commodities covered by ALG", "cumulative cost"});

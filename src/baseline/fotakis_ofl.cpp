@@ -29,7 +29,6 @@ void FotakisOfl::reset(const ProblemContext& context) {
   for (PointId m = 0; m < num_points_; ++m)
     cost_row_[m] = cost_->open_cost(m, single);
   total_dual_ = 0.0;
-  duals_.clear();
 }
 
 void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
@@ -147,7 +146,6 @@ void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
   past_.push_back(pr);
 
   total_dual_ += a;
-  duals_.push_back(a);
 
   if (obs::tracing()) {
     TraceEvent ev;
@@ -188,6 +186,13 @@ void FotakisOfl::depart(RequestId id, const Request& request,
   pr.dual = 0.0;  // reinvestment shifts for this request become no-ops
 }
 
+std::vector<double> FotakisOfl::duals() const {
+  std::vector<double> out;
+  out.reserve(past_.size());
+  for (const PastRequest& pr : past_) out.push_back(pr.dual);
+  return out;
+}
+
 void FotakisOfl::serialize_state(CkptWriter& writer) const {
   writer.line("facilities").u(facilities_.size());
   for (const OpenRecord& f : facilities_) writer.u(f.point).u(f.id);
@@ -201,8 +206,7 @@ void FotakisOfl::serialize_state(CkptWriter& writer) const {
   }
   writer.line("bids").u(bids_.size());
   for (const double v : bids_) writer.d(v);
-  writer.line("duals").d(total_dual_).u(duals_.size());
-  for (const double v : duals_) writer.d(v);
+  writer.line("dual-total").d(total_dual_);
 }
 
 void FotakisOfl::restore_state(CkptReader& reader) {
@@ -231,11 +235,8 @@ void FotakisOfl::restore_state(CkptReader& reader) {
   if (reader.u() != bids_.size())
     reader.fail("bid row length differs from the metric");
   for (double& v : bids_) v = reader.d();
-  reader.expect("duals");
+  reader.expect("dual-total");
   total_dual_ = reader.d();
-  const std::uint64_t num_duals = reader.u();
-  duals_.reserve(capped_reserve(num_duals));
-  for (std::uint64_t i = 0; i < num_duals; ++i) duals_.push_back(reader.d());
 }
 
 }  // namespace omflp

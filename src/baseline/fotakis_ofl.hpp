@@ -39,12 +39,16 @@ class FotakisOfl final : public OnlineAlgorithm {
               SolutionLedger& ledger) override;
 
   double total_dual() const noexcept { return total_dual_; }
-  /// Final dual a_r of every request, in arrival order.
-  const std::vector<double>& duals() const noexcept { return duals_; }
+  /// The dual a_r of every request, in arrival order, built by value
+  /// from the past-request state. A departed request reports its
+  /// rolled-back dual (exactly zero), so the duals sum to total_dual().
+  std::vector<double> duals() const;
 
   /// Checkpoint: facilities, past requests (duals, maintained facility
-  /// distances, rollback flags), the posted bid row and the dual totals,
-  /// all bitwise (the cost row is rebuilt by reset()).
+  /// distances, rollback flags), the posted bid row and the dual total,
+  /// all bitwise (the cost row is rebuilt by reset()). The total is
+  /// stored, not re-summed: after departures its rounding history is
+  /// not recoverable from the surviving duals.
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader) override;
 
@@ -75,7 +79,6 @@ class FotakisOfl final : public OnlineAlgorithm {
   std::vector<double> cost_row_;
 
   double total_dual_ = 0.0;
-  std::vector<double> duals_;
 };
 
 }  // namespace omflp

@@ -65,8 +65,6 @@ void PdOmflp::reset(const ProblemContext& context) {
   ref_bid_scratch_.clear();
   large_bid_scratch_.clear();
   total_dual_ = 0.0;
-  dual_records_.clear();
-  trace_.clear();
 }
 
 void PdOmflp::ensure_singleton_cost_row(CommodityId e) {
@@ -316,12 +314,6 @@ void PdOmflp::archive_request(const Request& request,
     }
   }
   past_.push_back(std::move(pr));
-
-  PdDualRecord record;
-  record.location = request.location;
-  record.commodities = commodities;
-  record.duals = duals;
-  dual_records_.push_back(std::move(record));
   for (double a : duals) total_dual_ += a;
 
   if (obs::tracing()) {
@@ -692,11 +684,6 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
       case 0: {  // (2) — connect to the nearest existing large facility.
         large_serving = near_large_id;
         serve_eligible_by_large();
-        if (options_.record_trace)
-          trace_.push_back(PdTraceEvent{request_id, 2, kInvalidCommodity,
-                                        ledger.facility(large_serving)
-                                            .location,
-                                        raised});
         break;
       }
       case 1: {  // (4) — open a new large facility at best.point.
@@ -707,9 +694,6 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
           traced_large_tightness = raised;
         }
         serve_eligible_by_large();
-        if (options_.record_trace)
-          trace_.push_back(PdTraceEvent{request_id, 4, kInvalidCommodity,
-                                        best.point, raised});
         break;
       }
       case 2: {  // (1) — serve e by the nearest existing facility.
@@ -717,12 +701,6 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         via_existing[best.slot] = true;
         --unserved;
         if (eligible[best.slot]) --unserved_eligible;
-        if (options_.record_trace)
-          trace_.push_back(PdTraceEvent{request_id, 1,
-                                        commodities[best.slot],
-                                        ledger.facility(fac1[best.slot])
-                                            .location,
-                                        raised});
         break;
       }
       case 3: {  // (3) — temporarily open a small facility {e} at m.
@@ -734,10 +712,6 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         }
         --unserved;
         if (eligible[best.slot]) --unserved_eligible;
-        if (options_.record_trace)
-          trace_.push_back(PdTraceEvent{request_id, 3,
-                                        commodities[best.slot], best.point,
-                                        raised});
         break;
       }
       default:
@@ -847,6 +821,14 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   archive_request(request, commodities, a);
 }
 
+std::vector<PdDualRecord> PdOmflp::dual_records() const {
+  std::vector<PdDualRecord> records;
+  records.reserve(past_.size());
+  for (const PastRequest& pr : past_)
+    records.push_back(PdDualRecord{pr.location, pr.commodities, pr.duals});
+  return records;
+}
+
 namespace {
 
 const char* bid_mode_tag(PdOptions::BidMode m) {
@@ -886,7 +868,6 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
     writer.line("past-request")
         .u(pr.location)
         .u(pr.commodities.size())
-        .d(pr.dual_sum_large)
         .d(pr.large_dist)
         .b(pr.departed);
     writer.line("past-commodities");
@@ -909,21 +890,6 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
     for (std::size_t m = 0; m < bids_.row_length(); ++m) writer.d(row[m]);
   }
   writer.line("dual-total").d(total_dual_);
-  writer.line("dual-records").u(dual_records_.size());
-  for (const PdDualRecord& rec : dual_records_) {
-    writer.line("dual-record").u(rec.location).u(rec.commodities.size());
-    for (std::size_t i = 0; i < rec.commodities.size(); ++i)
-      writer.u(rec.commodities[i]).d(rec.duals[i]);
-  }
-  writer.line("trace").u(trace_.size());
-  for (const PdTraceEvent& ev : trace_) {
-    writer.line("trace-event")
-        .u(ev.request)
-        .u(static_cast<std::uint64_t>(ev.constraint))
-        .u(ev.commodity)
-        .u(ev.point)
-        .d(ev.raised);
-  }
 }
 
 void PdOmflp::restore_state(CkptReader& reader) {
@@ -974,7 +940,6 @@ void PdOmflp::restore_state(CkptReader& reader) {
     PastRequest pr;
     pr.location = static_cast<PointId>(reader.u());
     const std::uint64_t slots = reader.u();
-    pr.dual_sum_large = reader.d();
     pr.large_dist = reader.d();
     pr.departed = reader.b();
     pr.commodities.reserve(capped_reserve(slots));
@@ -987,6 +952,12 @@ void PdOmflp::restore_state(CkptReader& reader) {
     pr.duals.reserve(capped_reserve(slots));
     reader.expect("past-duals");
     for (std::uint64_t i = 0; i < slots; ++i) pr.duals.push_back(reader.d());
+    // Recomputed exactly as archive_request sums it (same order, same
+    // skips). Rolled-back slots hold +0.0 duals, so a departed request
+    // sums to the 0.0 depart() stored.
+    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
+      if (!excluded_.contains(pr.commodities[slot]))
+        pr.dual_sum_large += pr.duals[slot];
     pr.small_dist.reserve(capped_reserve(slots));
     reader.expect("past-small-dist");
     for (std::uint64_t i = 0; i < slots; ++i)
@@ -1012,35 +983,6 @@ void PdOmflp::restore_state(CkptReader& reader) {
   }
   reader.expect("dual-total");
   total_dual_ = reader.d();
-  reader.expect("dual-records");
-  const std::uint64_t num_dual_records = reader.u();
-  dual_records_.reserve(capped_reserve(num_dual_records));
-  for (std::uint64_t i = 0; i < num_dual_records; ++i) {
-    reader.expect("dual-record");
-    PdDualRecord rec;
-    rec.location = static_cast<PointId>(reader.u());
-    const std::uint64_t slots = reader.u();
-    rec.commodities.reserve(capped_reserve(slots));
-    rec.duals.reserve(capped_reserve(slots));
-    for (std::uint64_t k = 0; k < slots; ++k) {
-      rec.commodities.push_back(static_cast<CommodityId>(reader.u()));
-      rec.duals.push_back(reader.d());
-    }
-    dual_records_.push_back(std::move(rec));
-  }
-  reader.expect("trace");
-  const std::uint64_t num_trace = reader.u();
-  trace_.reserve(capped_reserve(num_trace));
-  for (std::uint64_t i = 0; i < num_trace; ++i) {
-    reader.expect("trace-event");
-    PdTraceEvent ev;
-    ev.request = reader.u();
-    ev.constraint = static_cast<int>(reader.u());
-    ev.commodity = static_cast<CommodityId>(reader.u());
-    ev.point = static_cast<PointId>(reader.u());
-    ev.raised = reader.d();
-    trace_.push_back(ev);
-  }
 }
 
 }  // namespace omflp

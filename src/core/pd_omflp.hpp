@@ -34,8 +34,8 @@
 //                    arrival (obviously correct; O(n·|M|) per arrival);
 //   * kIncremental — maintain per-(commodity, point) prefix sums, updated
 //                    when duals freeze and when facilities open.
-// Both must produce identical runs; tests/test_pd_omflp.cpp asserts trace
-// equality on randomized instances.
+// Both must produce identical runs; tests/test_pd_omflp.cpp asserts equal
+// facilities and duals on randomized instances.
 //
 // Options beyond the paper (all default to the paper's behaviour):
 //   * prediction = kOff disables large facilities entirely (constraints
@@ -85,8 +85,6 @@ struct PdOptions {
   /// Default-constructed (empty universe) means "exclude nothing"; a
   /// non-empty universe must match the instance's |S|.
   CommoditySet excluded_from_prediction;
-  /// Record the per-event trace (for equivalence tests / debugging).
-  bool record_trace = false;
 };
 
 /// One (request, commodity) dual variable after its freeze, exported for
@@ -95,14 +93,6 @@ struct PdDualRecord {
   PointId location = 0;
   std::vector<CommodityId> commodities;  // s_r in increasing order
   std::vector<double> duals;             // a_re, aligned with commodities
-};
-
-struct PdTraceEvent {
-  RequestId request = 0;
-  int constraint = 0;          // 1..4, which family fired
-  CommodityId commodity = 0;   // kInvalidCommodity for (2)/(4)
-  PointId point = 0;           // facility point involved
-  double raised = 0.0;         // total Δ raised in the round up to the event
 };
 
 class PdOmflp final : public OnlineAlgorithm {
@@ -123,9 +113,10 @@ class PdOmflp final : public OnlineAlgorithm {
   /// Checkpoint: the facility indexes, every archived request's frozen
   /// duals and maintained distances, the incremental bid rows (bitwise —
   /// recomputing them on restore would only agree to audit tolerance,
-  /// not bit-for-bit), the dual records and an options guard. Caches the
-  /// cost model determines (cost rows, the large cost row) are rebuilt
-  /// lazily; by_commodity_ is rebuilt from the archived requests.
+  /// not bit-for-bit), the dual total and an options guard. Everything
+  /// that is a pure function of those is rebuilt on restore instead:
+  /// by_commodity_, each request's dual_sum_large (summed in slot order
+  /// exactly as archive_request does) and, lazily, the cost rows.
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader) override;
 
@@ -142,10 +133,14 @@ class PdOmflp final : public OnlineAlgorithm {
   /// description of the first inconsistency, or nullopt when clean.
   /// O(n·|M|·|S|); call after serve()s, not inside hot loops.
   std::optional<std::string> audit_state(double tolerance = 1e-7) const;
-  const std::vector<PdDualRecord>& dual_records() const noexcept {
-    return dual_records_;
-  }
-  const std::vector<PdTraceEvent>& trace() const noexcept { return trace_; }
+
+  /// Every archived request's frozen duals, in arrival order, built by
+  /// value from the algorithm's one copy of them. Under kRollback a
+  /// departed request reports its rolled-back duals (all exactly zero),
+  /// so the duals sum to total_dual(); under kFrozen and on static runs
+  /// they are the duals as frozen at arrival. O(Σ|s_r|) per call: bind
+  /// the result once instead of calling it in a loop.
+  std::vector<PdDualRecord> dual_records() const;
 
   const PdOptions& options() const noexcept { return options_; }
 
@@ -226,8 +221,6 @@ class PdOmflp final : public OnlineAlgorithm {
 
   // ---- outputs -------------------------------------------------------------
   double total_dual_ = 0.0;
-  std::vector<PdDualRecord> dual_records_;
-  std::vector<PdTraceEvent> trace_;
 
   // ---- helpers -------------------------------------------------------------
   bool prediction_enabled() const noexcept {

@@ -13,7 +13,8 @@ namespace omflp {
 
 namespace {
 
-constexpr const char* kHeader = "OMFLP-CKPT 1";
+constexpr const char* kHeader = "OMFLP-CKPT 2";
+constexpr std::string_view kRetiredV1Header = "OMFLP-CKPT 1";
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -176,6 +177,9 @@ void CkptWriter::finish() {
 
 CkptReader::CkptReader(std::istream& is) : is_(is), fnv_(kFnvOffset) {
   if (!next_raw_line()) fail("missing header");
+  if (line_ == kRetiredV1Header)
+    fail("OMFLP-CKPT v1 checkpoint; this build reads only v2 ('" +
+         std::string(kHeader) + "'), re-create the checkpoint");
   if (line_ != kHeader)
     fail(std::string("bad header, expected '") + kHeader + "'");
   fnv_ = fnv_fold(fnv_, line_);

@@ -1,11 +1,11 @@
-// OMFLP-CKPT v1 — the versioned, checksummed checkpoint container every
+// OMFLP-CKPT v2 — the versioned, checksummed checkpoint container every
 // fault-tolerance artifact uses (src/recover/): StreamSession snapshots,
 // the per-generation manifest, and any state a roster algorithm
 // serializes through its serialize_state/restore_state hooks.
 //
 // The format is line-oriented text:
 //
-//   OMFLP-CKPT 1
+//   OMFLP-CKPT 2
 //   <key> <token> <token> ...
 //   ...
 //   checksum <16 hex digits>
@@ -30,6 +30,12 @@
 //
 // Canonical form: serialize → restore → serialize is byte-identical
 // (tests/test_recover.cpp pins this down per roster algorithm).
+//
+// Versions: v2 stores each request's duals once. It dropped v1's
+// PD-OMFLP dual-record and private-trace sections, the per-request
+// large-side dual sum (restore recomputes it bitwise) and FotakisOfl's
+// dual log. There is no v1 reader: a v1 header is rejected with an
+// error naming v1, and checkpoint_payload_valid() returns false for it.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +50,7 @@
 
 namespace omflp {
 
-/// Streaming OMFLP-CKPT v1 writer. The header is written on
+/// Streaming OMFLP-CKPT v2 writer. The header is written on
 /// construction; line(key) starts a record, the typed appenders add
 /// tokens, finish() seals the file with the checksum line.
 class CkptWriter {
@@ -85,7 +91,7 @@ class CkptWriter {
   bool finished_ = false;
 };
 
-/// Strict bounded-memory OMFLP-CKPT v1 reader. The header is validated
+/// Strict bounded-memory OMFLP-CKPT v2 reader. The header is validated
 /// on construction; expect(key) loads the next line and the typed
 /// accessors consume its tokens; finish() validates the checksum line
 /// and end of input.

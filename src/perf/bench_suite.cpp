@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -23,6 +22,7 @@
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -35,23 +35,6 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(ch));
-      out += buffer;
-      continue;
-    }
-    out.push_back(ch);
-  }
-  return out;
 }
 
 std::string compiler_string() {

@@ -39,9 +39,10 @@ TEST(FotakisOfl, OpensThenReuses) {
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   EXPECT_EQ(ledger.num_facilities(), 1u);
   EXPECT_NEAR(ledger.total_cost(), 1.25, 1e-9);
-  ASSERT_EQ(alg.duals().size(), 2u);
-  EXPECT_NEAR(alg.duals()[0], 1.0, 1e-9);
-  EXPECT_NEAR(alg.duals()[1], 0.25, 1e-9);
+  const std::vector<double> duals = alg.duals();
+  ASSERT_EQ(duals.size(), 2u);
+  EXPECT_NEAR(duals[0], 1.0, 1e-9);
+  EXPECT_NEAR(duals[1], 0.25, 1e-9);
 }
 
 TEST(FotakisOfl, RepeatedRequestsAmortizeIntoNearbyFacility) {

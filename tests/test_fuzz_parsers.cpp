@@ -452,10 +452,10 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
   std::vector<std::string> lines = split_lines(base);
   ASSERT_GE(lines.size(), 3u);
 
-  // Version bump: an OMFLP-CKPT 2 file is from the future, not ours.
+  // Version bump: an OMFLP-CKPT 3 file is from the future, not ours.
   {
     std::vector<std::string> t = lines;
-    t[0] = "OMFLP-CKPT 2";
+    t[0] = "OMFLP-CKPT 3";
     EXPECT_EQ(feed_checkpoint_readers(resealed(join_lines(t))),
               ParseOutcome::kRejected);
   }
@@ -495,9 +495,9 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   // unconstrained ids and values; a huge *id* is legal, a huge *count*
   // must fail against the lines actually present.)
   const std::set<std::string> count_keys = {
-      "active", "larges",       "expiries",      "dual-records",
-      "past",   "bid-rows",     "offering-index", "ledger",
-      "seen",   "verifier-active"};
+      "active", "larges",         "expiries", "past",
+      "bid-rows", "offering-index", "ledger",   "seen",
+      "verifier-active"};
 
   // Re-seal each tampered payload so the hostile count is reached with
   // a passing checksum: the declared count must then fail at parse

@@ -1,7 +1,7 @@
 // omflp-lint fixture tests: per rule, a violating snippet is flagged, a
 // suppressed one is reported-but-suppressed, and a clean/conforming one
 // passes. Plus the machinery itself: comment/string stripping, the
-// next-line suppression form, path scoping, and the JSON round trip.
+// next-line suppression form, path scoping, and the JSON report.
 #include "lint.hpp"
 
 #include <gtest/gtest.h>
@@ -376,49 +376,37 @@ TEST(Stripping, CodeAfterBlockCommentStillMatches) {
 
 // ------------------------------------------------------------------- json ---
 
-TEST(Json, RoundTripsFindings) {
-  const auto diags = lint(
-      "src/instance/stream_io.cpp",
-      "void read() {\n"
-      "  events.reserve(n);\n"
-      "  // omflp-lint: allow(raw-parse) quoted \"text\" with\ttabs\n"
-      "  double v = atof(s);\n"
-      "}\n");
-  ASSERT_EQ(diags.size(), 2u);
-  const std::string json = to_json(diags);
-  const auto parsed = from_json(json);
-  EXPECT_EQ(parsed, diags);
-  // Canonical: re-emission is byte-identical.
-  EXPECT_EQ(to_json(parsed), json);
+TEST(Json, EmptyReportIsLiteral) {
+  EXPECT_EQ(to_json({}),
+            "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[],"
+            "\"suppressed\":0,\"failing\":0}\n");
 }
 
-TEST(Json, EmptyReportRoundTrips) {
-  const std::vector<Diagnostic> none;
-  EXPECT_EQ(from_json(to_json(none)), none);
+TEST(Json, EscapesQuoteBackslashAndControlBytes) {
+  const std::vector<Diagnostic> diags = {
+      {"rule-x", "src/a\\b.cpp", 3,
+       "quote \" backslash \\ newline \n tab \t ctl \x1f" "end", false}};
+  EXPECT_EQ(to_json(diags),
+            "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[\n"
+            "  {\"rule\":\"rule-x\",\"path\":\"src/a\\\\b.cpp\",\"line\":3,"
+            "\"message\":\"quote \\\" backslash \\\\ newline \\n tab \\t "
+            "ctl \\u001fend\",\"suppressed\":false}\n"
+            "],\"suppressed\":0,\"failing\":1}\n");
 }
 
-TEST(Json, EscapesSpecialCharacters) {
-  std::vector<Diagnostic> diags;
-  diags.push_back(Diagnostic{"rule-x", "src/a\\b.cpp", 3,
-                             "quote \" backslash \\ newline \n tab \t",
-                             true});
-  const auto parsed = from_json(to_json(diags));
-  EXPECT_EQ(parsed, diags);
-}
-
-TEST(Json, RejectsTamperedDocuments) {
-  const auto diags =
-      lint("src/core/f.cpp", "void f() { int v = atoi(s); }\n");
-  const std::string json = to_json(diags);
-  EXPECT_THROW(from_json(json + "x"), std::invalid_argument);
-  EXPECT_THROW(from_json(json.substr(0, json.size() / 2)),
-               std::invalid_argument);
-  // Summary counts must agree with the findings array.
-  std::string tampered = json;
-  const auto at = tampered.find("\"failing\":1");
-  ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 11, "\"failing\":0");
-  EXPECT_THROW(from_json(tampered), std::invalid_argument);
+TEST(Json, SummaryCountsSuppressedAndFailing) {
+  const std::vector<Diagnostic> diags = {{"a", "p.cpp", 1, "m", false},
+                                         {"b", "q.cpp", 2, "n", true},
+                                         {"c", "r.cpp", 3, "o", false}};
+  EXPECT_EQ(to_json(diags),
+            "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[\n"
+            "  {\"rule\":\"a\",\"path\":\"p.cpp\",\"line\":1,"
+            "\"message\":\"m\",\"suppressed\":false},\n"
+            "  {\"rule\":\"b\",\"path\":\"q.cpp\",\"line\":2,"
+            "\"message\":\"n\",\"suppressed\":true},\n"
+            "  {\"rule\":\"c\",\"path\":\"r.cpp\",\"line\":3,"
+            "\"message\":\"o\",\"suppressed\":false}\n"
+            "],\"suppressed\":1,\"failing\":2}\n");
 }
 
 // ------------------------------------------------------------ text report ---

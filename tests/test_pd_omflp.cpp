@@ -5,6 +5,7 @@
 // ablation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/fotakis_ofl.hpp"
@@ -12,6 +13,7 @@
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
+#include "obs/trace_sink.hpp"
 #include "solution/verifier.hpp"
 
 namespace omflp {
@@ -60,9 +62,10 @@ TEST(PdOmflp, SingleRequestPrefersLargeWhenBundlingIsCheap) {
   EXPECT_EQ(ledger.num_large_facilities(), 1u);
   EXPECT_NEAR(ledger.total_cost(), std::sqrt(2.0), 1e-9);
   // Both duals froze at the event time sqrt(2)/2.
-  ASSERT_EQ(pd.dual_records().size(), 1u);
-  EXPECT_NEAR(pd.dual_records()[0].duals[0], std::sqrt(2.0) / 2.0, 1e-9);
-  EXPECT_NEAR(pd.dual_records()[0].duals[1], std::sqrt(2.0) / 2.0, 1e-9);
+  const std::vector<PdDualRecord> records = pd.dual_records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NEAR(records[0].duals[0], std::sqrt(2.0) / 2.0, 1e-9);
+  EXPECT_NEAR(records[0].duals[1], std::sqrt(2.0) / 2.0, 1e-9);
 }
 
 TEST(PdOmflp, SingleRequestPrefersSingletonsWhenLinear) {
@@ -86,15 +89,24 @@ TEST(PdOmflp, ConnectsToExistingFacilityWhenCloser) {
   Instance inst(metric, cost,
                 {Request{0, CommoditySet::full_set(1)},
                  Request{1, CommoditySet::full_set(1)}});
-  PdOmflp pd{PdOptions{.record_trace = true}};
-  const SolutionLedger ledger = run_online(pd, inst);
+  PdOmflp pd;
+  TraceBuffer buffer;
+  const SolutionLedger ledger = [&] {
+    TraceScope scope(buffer);
+    return run_online(pd, inst);
+  }();
   EXPECT_EQ(ledger.num_facilities(), 1u);
   EXPECT_NEAR(ledger.total_cost(), 1.5, 1e-9);
-  // Trace: request 0 fires (3)-or-(4) at the point, request 1 connects.
-  ASSERT_EQ(pd.trace().size(), 2u);
-  EXPECT_EQ(pd.trace()[1].request, 1u);
-  const int c = pd.trace()[1].constraint;
-  EXPECT_TRUE(c == 1 || c == 2) << "got constraint " << c;
+  // Trace: request 0 opens the facility, request 1 only connects to it.
+  const auto count = [&](RequestId r, TraceEventKind kind) {
+    return std::count_if(buffer.events().begin(), buffer.events().end(),
+                         [&](const TraceEvent& ev) {
+                           return ev.request == r && ev.kind == kind;
+                         });
+  };
+  EXPECT_EQ(count(0, TraceEventKind::kFacilityOpen), 1);
+  EXPECT_EQ(count(1, TraceEventKind::kFacilityOpen), 0);
+  EXPECT_EQ(count(1, TraceEventKind::kRequestAssign), 1);
 }
 
 TEST(PdOmflp, Theorem2GameSmallsThenOneLarge) {
@@ -166,11 +178,12 @@ TEST_P(PdEquivalence, ReferenceAndIncrementalBidsAgree) {
     EXPECT_TRUE(lr.facility(f).config == li.facility(f).config);
   }
   EXPECT_NEAR(lr.total_cost(), li.total_cost(), 1e-7);
-  ASSERT_EQ(reference.dual_records().size(),
-            incremental.dual_records().size());
-  for (std::size_t i = 0; i < reference.dual_records().size(); ++i) {
-    const auto& a = reference.dual_records()[i].duals;
-    const auto& b = incremental.dual_records()[i].duals;
+  const std::vector<PdDualRecord> ref_records = reference.dual_records();
+  const std::vector<PdDualRecord> inc_records = incremental.dual_records();
+  ASSERT_EQ(ref_records.size(), inc_records.size());
+  for (std::size_t i = 0; i < ref_records.size(); ++i) {
+    const auto& a = ref_records[i].duals;
+    const auto& b = inc_records[i].duals;
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t j = 0; j < a.size(); ++j)
       EXPECT_NEAR(a[j], b[j], 1e-7);
@@ -213,9 +226,10 @@ TEST_P(PdInvariants, DualsAreNonNegativeAndPerRequest) {
   const Instance inst = random_line_instance(GetParam() * 13 + 2, 8, 30, 4, 4);
   PdOmflp pd;
   (void)run_online(pd, inst);
-  ASSERT_EQ(pd.dual_records().size(), inst.num_requests());
-  for (std::size_t i = 0; i < pd.dual_records().size(); ++i) {
-    const auto& rec = pd.dual_records()[i];
+  const std::vector<PdDualRecord> records = pd.dual_records();
+  ASSERT_EQ(records.size(), inst.num_requests());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& rec = records[i];
     EXPECT_EQ(rec.commodities.size(),
               inst.request(i).commodities.count());
     for (double a : rec.duals) EXPECT_GE(a, 0.0);

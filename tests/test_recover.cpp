@@ -1,4 +1,4 @@
-// Fault-tolerance tests: the OMFLP-CKPT v1 container, per-algorithm
+// Fault-tolerance tests: the OMFLP-CKPT v2 container, per-algorithm
 // session checkpoint/restore (crash → restore → drain must be bitwise
 // identical to an uninterrupted run, for every roster algorithm), the
 // checkpoint store's generation fallback, deterministic fault injection,
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pd_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
 #include "instance/checkpoint_io.hpp"
@@ -29,11 +30,27 @@
 namespace omflp {
 namespace {
 
-// The full roster: every algorithm the registry serves, each of which
-// must survive checkpoint/restore bitwise.
+// The full roster: every algorithm the registry serves, plus
+// "pd-excluded", each of which must survive checkpoint/restore bitwise.
 const char* const kRoster[] = {"pd",       "pd-nopred", "pd-seenunion",
                                "rand",     "fotakis",   "meyerson",
-                               "greedy",   "rentbuy",   "alwaysopen"};
+                               "greedy",   "rentbuy",   "alwaysopen",
+                               "pd-excluded"};
+
+// "pd-excluded" (not a registry entry) is PD with commodities {1, 3} of
+// test_stream's four kept out of large facilities: restore must rebuild
+// each request's large-side dual sum skipping exactly those.
+std::unique_ptr<OnlineAlgorithm> make_roster_algorithm(const std::string& name,
+                                                       std::uint64_t seed) {
+  if (name == "pd-excluded") {
+    CommoditySet excluded(4);
+    excluded.add(1);
+    excluded.add(3);
+    return std::make_unique<PdOmflp>(
+        PdOptions{.excluded_from_prediction = excluded});
+  }
+  return default_algorithm_registry().make(name, derive_algorithm_seed(seed));
+}
 
 // A stream with churn, leases and enough events to cross several
 // batches: the checkpoint lands mid-run with active requests, pending
@@ -50,6 +67,14 @@ StreamRunOptions test_options() {
   options.compact = true;
   options.verify = true;
   return options;
+}
+
+std::string algorithm_state(const OnlineAlgorithm& algorithm) {
+  std::ostringstream os;
+  CkptWriter writer(os);
+  algorithm.serialize_state(writer);
+  writer.finish();
+  return os.str();
 }
 
 void expect_results_identical(const StreamRunResult& a,
@@ -173,11 +198,34 @@ TEST(CheckpointIo, RejectsTamperingTruncationAndBadHeader) {
   }
   {  // wrong version header
     std::string bad = good;
-    bad.replace(0, 12, "OMFLP-CKPT 2");
+    bad.replace(0, 12, "OMFLP-CKPT 3");
     std::istringstream is(bad);
     EXPECT_FALSE(checkpoint_payload_valid(is));
     std::istringstream is2(bad);
     EXPECT_THROW(CkptReader r(is2), std::invalid_argument);
+  }
+}
+
+TEST(CheckpointIo, RetiredV1HeaderIsRejectedByName) {
+  std::ostringstream os;
+  {
+    CkptWriter w(os);
+    w.line("payload").u(42);
+    w.finish();
+  }
+  std::string v1 = os.str();
+  ASSERT_EQ(v1.rfind("OMFLP-CKPT 2\n", 0), 0u);
+  v1.replace(0, 12, "OMFLP-CKPT 1");
+  std::istringstream is(v1);
+  EXPECT_FALSE(checkpoint_payload_valid(is));
+  std::istringstream is2(v1);
+  try {
+    CkptReader r(is2);
+    ADD_FAILURE() << "a v1 header was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("OMFLP-CKPT v1"),
+              std::string::npos)
+        << error.what();
   }
 }
 
@@ -213,7 +261,6 @@ TEST(CheckpointIo, StrictReaderErrors) {
 // every roster algorithm. The "crash" is simulated by checkpointing
 // mid-run, destroying the session, and restoring into fresh objects.
 TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
-  const AlgorithmRegistry& algorithms = default_algorithm_registry();
   const std::uint64_t seed = 20260808;
   for (const char* algo : kRoster) {
     SCOPED_TRACE(algo);
@@ -221,8 +268,7 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
     const StreamRunOptions options = test_options();
 
     // Uninterrupted reference.
-    auto ref_algorithm =
-        algorithms.make(algo, derive_algorithm_seed(seed));
+    auto ref_algorithm = make_roster_algorithm(algo, seed);
     MaterializedEventSource ref_source(stream);
     StreamSession ref_session(*ref_algorithm, ref_source, options);
     while (ref_session.step_batch() != 0) {
@@ -232,7 +278,7 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
     // Interrupted run: advance a few batches, snapshot, drop everything.
     std::string snapshot;
     {
-      auto algorithm = algorithms.make(algo, derive_algorithm_seed(seed));
+      auto algorithm = make_roster_algorithm(algo, seed);
       MaterializedEventSource source(stream);
       StreamSession session(*algorithm, source, options);
       for (int i = 0; i < 3; ++i) (void)session.step_batch();
@@ -244,7 +290,7 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
     }
 
     // Restore into fresh objects and drain.
-    auto algorithm = algorithms.make(algo, derive_algorithm_seed(seed));
+    auto algorithm = make_roster_algorithm(algo, seed);
     MaterializedEventSource source(stream);
     std::istringstream is(snapshot);
     CkptReader reader(is);
@@ -255,20 +301,25 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
     StreamRunResult restored = session.finish();
 
     expect_results_identical(restored, reference, "restored vs reference");
+    // The drained algorithm state, bid rows included, is bitwise the
+    // reference's too: a restore that rebuilt derived state wrongly (say,
+    // a large-side dual sum) can leave every cost equal and still skew
+    // later bids.
+    EXPECT_TRUE(algorithm_state(*algorithm) == algorithm_state(*ref_algorithm))
+        << "drained algorithm state differs";
   }
 }
 
 // serialize → restore → serialize is byte-identical (the canonical-form
 // contract the checkpoint store's bitwise cross-checks build on).
 TEST(SessionRecovery, CheckpointOfRestoredSessionIsByteIdentical) {
-  const AlgorithmRegistry& algorithms = default_algorithm_registry();
   const std::uint64_t seed = 99;
   for (const char* algo : kRoster) {
     SCOPED_TRACE(algo);
     const EventStream stream = test_stream(seed);
     const StreamRunOptions options = test_options();
 
-    auto algorithm = algorithms.make(algo, derive_algorithm_seed(seed));
+    auto algorithm = make_roster_algorithm(algo, seed);
     MaterializedEventSource source(stream);
     StreamSession session(*algorithm, source, options);
     for (int i = 0; i < 4; ++i) (void)session.step_batch();
@@ -278,7 +329,7 @@ TEST(SessionRecovery, CheckpointOfRestoredSessionIsByteIdentical) {
     writer.finish();
     const std::string first = os.str();
 
-    auto algorithm2 = algorithms.make(algo, derive_algorithm_seed(seed));
+    auto algorithm2 = make_roster_algorithm(algo, seed);
     MaterializedEventSource source2(stream);
     std::istringstream is(first);
     CkptReader reader(is);

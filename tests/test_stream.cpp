@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/per_commodity.hpp"
 #include "core/pd_omflp.hpp"
@@ -334,6 +335,57 @@ TEST(PdDeletion, RollbackWithdrawsTotalDual) {
   const auto issue = pd.audit_state();
   EXPECT_FALSE(issue.has_value()) << *issue;
   EXPECT_EQ(result.ledger.num_active_requests(), 0u);
+}
+
+// dual_records() and FotakisOfl::duals() are views of each algorithm's
+// one copy of the duals: after a rollback churn run, every departed
+// request reports exactly zero and the views sum to total_dual().
+TEST(PdDeletion, DerivedDualViewsReportRolledBackZeros) {
+  const auto departed = [](const StreamRunResult& result, RequestId r) {
+    return !result.ledger.request_records()[r].active();
+  };
+  StreamRunOptions options;
+  options.compact = false;  // keep every request record for departed()
+  {
+    const EventStream stream = default_stream_scenario_registry().make(
+        "churn-uniform", /*seed=*/4,
+        {{"events", 512}, {"points", 24}, {"commodities", 4}});
+    PdOmflp pd;
+    const StreamRunResult result = run_stream(pd, stream, options);
+    const std::vector<PdDualRecord> records = pd.dual_records();
+    ASSERT_EQ(records.size(), result.ledger.num_requests());
+    std::size_t num_departed = 0;
+    double sum = 0.0;
+    for (RequestId r = 0; r < records.size(); ++r) {
+      for (const double a : records[r].duals) {
+        if (departed(result, r)) EXPECT_EQ(a, 0.0) << "request " << r;
+        sum += a;
+      }
+      num_departed += departed(result, r) ? 1 : 0;
+    }
+    EXPECT_GT(num_departed, 0u);
+    EXPECT_NEAR(sum, pd.total_dual(), 1e-9);
+  }
+  {
+    const EventStream stream = default_stream_scenario_registry().make(
+        "churn-uniform", /*seed=*/4,
+        {{"events", 512}, {"points", 24}, {"commodities", 1}});
+    FotakisOfl fotakis;
+    const StreamRunResult result = run_stream(fotakis, stream, options);
+    const std::vector<double> duals = fotakis.duals();
+    ASSERT_EQ(duals.size(), result.ledger.num_requests());
+    std::size_t num_departed = 0;
+    double sum = 0.0;
+    for (RequestId r = 0; r < duals.size(); ++r) {
+      if (departed(result, r)) {
+        EXPECT_EQ(duals[r], 0.0) << "request " << r;
+        ++num_departed;
+      }
+      sum += duals[r];
+    }
+    EXPECT_GT(num_departed, 0u);
+    EXPECT_NEAR(sum, fotakis.total_dual(), 1e-9);
+  }
 }
 
 TEST(BaselineDeletion, AllRosterAlgorithmsSurviveChurnVerified) {

@@ -373,111 +373,6 @@ void append_json_string(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
-// Minimal strict parser for exactly the document to_json emits.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(std::string_view literal) {
-    skip_ws();
-    if (text_.compare(pos_, literal.size(), literal) != 0)
-      fail(std::string("expected '") + std::string(literal) + "'");
-    pos_ += literal.size();
-  }
-
-  bool try_consume(std::string_view literal) {
-    skip_ws();
-    if (text_.compare(pos_, literal.size(), literal) != 0) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  std::string string() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected string");
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          unsigned value = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          if (value > 0x7f) fail("non-ASCII \\u escape unsupported");
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  std::uint64_t number() {
-    skip_ws();
-    std::uint64_t value = 0;
-    bool any = false;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      ++pos_;
-      any = true;
-    }
-    if (!any) fail("expected number");
-    return value;
-  }
-
-  bool boolean() {
-    if (try_consume("true")) return true;
-    if (try_consume("false")) return false;
-    fail("expected boolean");
-    return false;
-  }
-
-  void done() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::invalid_argument("omflp-lint json: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string to_json(const std::vector<Diagnostic>& diags) {
@@ -501,57 +396,6 @@ std::string to_json(const std::vector<Diagnostic>& diags) {
   os << "],\"suppressed\":" << suppressed
      << ",\"failing\":" << (diags.size() - suppressed) << "}\n";
   return os.str();
-}
-
-std::vector<Diagnostic> from_json(std::string_view json) {
-  JsonReader r(json);
-  r.expect("{");
-  r.expect("\"format\":\"omflp-lint\"");
-  r.expect(",");
-  r.expect("\"version\":1");
-  r.expect(",");
-  r.expect("\"findings\":[");
-  std::vector<Diagnostic> diags;
-  if (!r.try_consume("]")) {
-    while (true) {
-      Diagnostic d;
-      r.expect("{");
-      r.expect("\"rule\":");
-      d.rule = r.string();
-      r.expect(",");
-      r.expect("\"path\":");
-      d.path = r.string();
-      r.expect(",");
-      r.expect("\"line\":");
-      d.line = static_cast<std::size_t>(r.number());
-      r.expect(",");
-      r.expect("\"message\":");
-      d.message = r.string();
-      r.expect(",");
-      r.expect("\"suppressed\":");
-      d.suppressed = r.boolean();
-      r.expect("}");
-      diags.push_back(std::move(d));
-      if (r.try_consume("]")) break;
-      r.expect(",");
-    }
-  }
-  r.expect(",");
-  r.expect("\"suppressed\":");
-  const std::uint64_t suppressed = r.number();
-  r.expect(",");
-  r.expect("\"failing\":");
-  const std::uint64_t failing = r.number();
-  r.expect("}");
-  r.done();
-  std::uint64_t actual_suppressed = 0;
-  for (const auto& d : diags)
-    if (d.suppressed) ++actual_suppressed;
-  if (suppressed != actual_suppressed ||
-      failing != diags.size() - actual_suppressed)
-    throw std::invalid_argument("omflp-lint json: summary counts disagree "
-                                "with the findings array");
-  return diags;
 }
 
 }  // namespace omflp::lint

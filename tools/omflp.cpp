@@ -33,6 +33,7 @@
 // `stream --trace` reads the trace in bounded-memory batches and compacts
 // retired ledger records, so million-event traces process in O(active
 // set + batch) resident state.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -1382,6 +1383,12 @@ int main(int argc, char** argv) {
     if (argc < 2) return usage(std::cerr, 2);
     const std::string command = argv[1];
     const std::vector<std::string> args(argv + 2, argv + argc);
+    const auto is_help = [](const std::string& arg) {
+      return arg == "--help" || arg == "-h";
+    };
+    if (command == "help" || is_help(command) ||
+        std::any_of(args.begin(), args.end(), is_help))
+      return usage(std::cout, 0);
     if (command == "list") return cmd_list();
     if (command == "run") return cmd_run(args);
     if (command == "sweep") return cmd_sweep(args);
@@ -1392,8 +1399,6 @@ int main(int argc, char** argv) {
     if (command == "bound") return cmd_bound(args);
     if (command == "bench") return cmd_bench(args);
     if (command == "compare") return cmd_compare(args);
-    if (command == "help" || command == "--help" || command == "-h")
-      return usage(std::cout, 0);
     std::cerr << "unknown command '" << command << "'\n";
     return usage(std::cerr, 2);
   } catch (const std::exception& error) {
