@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -179,17 +180,32 @@ std::optional<std::string> check_exhaustive(
 
   // Distances d(m, r), n per point; recomputed from the metric directly
   // (no DistanceOracle — the checker shares nothing with the bounder).
+  // Beside each request's row, its points in ascending distance order
+  // (ties by point index), so a sweep can stop at the first point the
+  // request's sum does not reach.
   std::vector<double> dist(n * points);
-  for (std::size_t r = 0; r < n; ++r)
+  std::vector<std::uint32_t> order(n * points);
+  for (std::size_t r = 0; r < n; ++r) {
+    double* d = dist.data() + r * points;
     for (PointId m = 0; m < points; ++m)
-      dist[r * points + m] =
-          instance.metric().distance(reqs[r].location, m);
+      d[m] = instance.metric().distance(reqs[r].location, m);
+    std::uint32_t* o = order.data() + r * points;
+    std::iota(o, o + points, std::uint32_t{0});
+    std::sort(o, o + points, [d](std::uint32_t a, std::uint32_t b) {
+      return d[a] < d[b] || (d[a] == d[b] && a < b);
+    });
+  }
   OMFLP_PERF_ADD(distance_lookups, n * points);
 
   // Per configuration: each request's dual sum Σ_{e∈σ∩s_r} a_{r,e} does
-  // not depend on the point, so it is formed once; the clipped terms are
-  // then accumulated into one lhs per point, requests in index order
-  // (the same summation order per point as a point-major loop).
+  // not depend on the point, so it is formed once and swept over the
+  // request's distance-ordered points while sum > d(m, r). Those are
+  // exactly the points with a positive clipped term (with gradual
+  // underflow, sum − d > 0 holds iff sum > d), and past the first miss
+  // every point is at least as far. A skipped term would add +0.0 to
+  // lhs[m] (which is ≥ +0), leaving it bitwise unchanged, and each lhs[m]
+  // still receives its terms in request-index order — so every lhs value
+  // equals that of the dense point-major sum bit for bit.
   std::vector<double> lhs(points);
   const std::uint64_t num_configs = std::uint64_t{1} << s;
   for (std::uint64_t mask = 1; mask < num_configs; ++mask) {
@@ -210,12 +226,10 @@ std::optional<std::string> check_exhaustive(
         inter &= inter - 1;
       }
       const double* d = dist.data() + r * points;
-      // Adding +0.0 for a non-positive term leaves lhs[m] (≥ +0) bitwise
-      // unchanged, so the branch-free form sums exactly the clipped terms.
-      for (PointId m = 0; m < points; ++m) {
-        const double clipped = sum - d[m];
-        lhs[m] += clipped > 0.0 ? clipped : 0.0;
-      }
+      for (const std::uint32_t* o = order.data() + r * points,
+                              * end = o + points;
+           o != end && sum > d[*o]; ++o)
+        lhs[*o] += sum - d[*o];
     }
     for (PointId m = 0; m < points; ++m) {
       const double rhs = instance.cost().open_cost(m, config);

@@ -82,8 +82,12 @@ struct VerifyCertificateOptions {
   /// work budget (and |S| ≤ 63); beyond it the checker falls back to the
   /// structured sufficient conditions below. The per-request sums
   /// Σ_{e∈σ∩s_r} a_{r,e} do not depend on the point m, so the path forms
-  /// them once per σ and sweeps every point's lhs from them; the work
-  /// estimate counts the (σ, r, m) terms all the same.
+  /// them once per σ and adds each to the lhs of only the points it
+  /// reaches: the prefix of the request's points, presorted by distance,
+  /// with d(m, r) below the sum. The terms it skips are exactly the +0
+  /// clipped ones, and every lhs still sums its terms in request order, so
+  /// the values are bitwise those of a dense sweep. The work estimate
+  /// counts the (σ, r, m) terms all the same.
   std::size_t max_exhaustive_work = std::size_t{1} << 27;
 };
 

@@ -39,17 +39,19 @@ PolynomialCostModel::PolynomialCostModel(CommodityId num_commodities,
   OMFLP_REQUIRE(x_ >= 0.0 && x_ <= 2.0,
                 "PolynomialCostModel: x must lie in [0, 2] (class C)");
   OMFLP_REQUIRE(scale_ > 0.0, "PolynomialCostModel: scale must be positive");
+  by_size_.resize(std::size_t{s_} + 1);
+  for (std::size_t k = 1; k < by_size_.size(); ++k)
+    by_size_[k] = scale_ * std::pow(static_cast<double>(k), x_ / 2.0);
 }
 
 double PolynomialCostModel::open_cost(PointId /*m*/,
                                       const CommoditySet& config) const {
-  return cost_of_size(check_config(config));
+  return by_size_[check_config(config)];
 }
 
 double PolynomialCostModel::cost_of_size(CommodityId k) const {
   OMFLP_REQUIRE(k <= s_, "cost_of_size: size exceeds |S|");
-  if (k == 0) return 0.0;
-  return scale_ * std::pow(static_cast<double>(k), x_ / 2.0);
+  return by_size_[k];
 }
 
 std::string PolynomialCostModel::description() const {

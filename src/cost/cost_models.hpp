@@ -50,7 +50,9 @@ class SizeOnlyCostModel final : public FacilityCostModel {
 };
 
 /// The paper's cost class C = { g_x(k) = k^{x/2} : x ∈ [0,2] } (§3.3),
-/// with an overall scale factor. g_x(0) = 0 by convention.
+/// with an overall scale factor. g_x(0) = 0 by convention. g is
+/// precomputed for every size 0..|S| at construction, so open_cost and
+/// cost_of_size are table lookups.
 class PolynomialCostModel final : public FacilityCostModel {
  public:
   PolynomialCostModel(CommodityId num_commodities, double exponent_x,
@@ -73,6 +75,7 @@ class PolynomialCostModel final : public FacilityCostModel {
   CommodityId s_;
   double x_;
   double scale_;
+  std::vector<double> by_size_;  // precomputed g_x(0..|S|)
 };
 
 /// Theorem 2's g(|σ|) = ⌈|σ| / √|S|⌉ (so a single commodity costs 1 and

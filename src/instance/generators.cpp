@@ -11,29 +11,39 @@
 
 namespace omflp {
 
-CommoditySet sample_demand_set(CommodityId num_commodities, CommodityId size,
-                               double popularity_exponent, Rng& rng) {
-  OMFLP_REQUIRE(size >= 1 && size <= num_commodities,
+DemandSetSampler::DemandSetSampler(CommodityId num_commodities,
+                                   double popularity_exponent)
+    : num_commodities_(num_commodities) {
+  if (popularity_exponent != 0.0)
+    zipf_.emplace(num_commodities, popularity_exponent);
+}
+
+CommoditySet DemandSetSampler::operator()(CommodityId size, Rng& rng) const {
+  OMFLP_REQUIRE(size >= 1 && size <= num_commodities_,
                 "sample_demand_set: size out of range");
-  CommoditySet out(num_commodities);
-  if (popularity_exponent == 0.0) {
+  CommoditySet out(num_commodities_);
+  if (!zipf_) {
     for (std::size_t idx :
-         rng.sample_without_replacement(num_commodities, size))
+         rng.sample_without_replacement(num_commodities_, size))
       out.add(static_cast<CommodityId>(idx));
     return out;
   }
-  ZipfSampler zipf(num_commodities, popularity_exponent);
   // Rejection over Zipf draws; falls back to filling uniformly if the
   // distribution is so skewed that distinct draws become rare.
   std::size_t attempts = 0;
   while (out.count() < size && attempts < 64 * static_cast<std::size_t>(size)) {
-    out.add(static_cast<CommodityId>(zipf(rng)));
+    out.add(static_cast<CommodityId>((*zipf_)(rng)));
     ++attempts;
   }
   while (out.count() < size) {
-    out.add(static_cast<CommodityId>(rng.uniform_index(num_commodities)));
+    out.add(static_cast<CommodityId>(rng.uniform_index(num_commodities_)));
   }
   return out;
+}
+
+CommoditySet sample_demand_set(CommodityId num_commodities, CommodityId size,
+                               double popularity_exponent, Rng& rng) {
+  return DemandSetSampler(num_commodities, popularity_exponent)(size, rng);
 }
 
 namespace {
@@ -53,15 +63,15 @@ Instance make_uniform_line(const UniformLineConfig& config, CostModelPtr cost,
   OMFLP_REQUIRE(cost->num_commodities() == config.num_commodities,
                 "make_uniform_line: cost model |S| mismatch");
   auto metric = LineMetric::uniform_grid(config.num_points, config.length);
+  const DemandSetSampler demand(config.num_commodities,
+                                config.popularity_exponent);
   std::vector<Request> requests;
   requests.reserve(config.num_requests);
   for (std::size_t i = 0; i < config.num_requests; ++i) {
     Request r;
     r.location = static_cast<PointId>(rng.uniform_index(config.num_points));
-    r.commodities = sample_demand_set(
-        config.num_commodities,
-        sample_demand_size(config.min_demand, config.max_demand, rng),
-        config.popularity_exponent, rng);
+    r.commodities = demand(
+        sample_demand_size(config.min_demand, config.max_demand, rng), rng);
     requests.push_back(std::move(r));
   }
   std::ostringstream name;
@@ -240,15 +250,15 @@ Instance make_service_network(const ServiceNetworkConfig& config,
   auto metric = std::make_shared<GraphMetric>(config.num_nodes, edges);
 
   ZipfSampler node_pop(config.num_nodes, config.node_popularity_exponent);
+  const DemandSetSampler demand(config.num_commodities,
+                                config.commodity_popularity_exponent);
   std::vector<Request> requests;
   requests.reserve(config.num_requests);
   for (std::size_t i = 0; i < config.num_requests; ++i) {
     Request r;
     r.location = static_cast<PointId>(node_pop(rng));
-    r.commodities = sample_demand_set(
-        config.num_commodities,
-        sample_demand_size(config.min_demand, config.max_demand, rng),
-        config.commodity_popularity_exponent, rng);
+    r.commodities = demand(
+        sample_demand_size(config.min_demand, config.max_demand, rng), rng);
     requests.push_back(std::move(r));
   }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "cost/cost_model.hpp"
 #include "instance/instance.hpp"
@@ -15,9 +16,24 @@
 
 namespace omflp {
 
-/// Sample a non-empty demand set: `size` commodities drawn without
+/// Demand-set draws over one universe S: `size` commodities drawn without
 /// replacement, each draw Zipf(popularity_exponent)-weighted over S
-/// (exponent 0 = uniform).
+/// (exponent 0 = uniform). The Zipf table is built once per sampler, not
+/// per draw; building it draws no random numbers, so one sampler reused
+/// across draws yields exactly the sets that fresh samplers would.
+class DemandSetSampler {
+ public:
+  DemandSetSampler(CommodityId num_commodities, double popularity_exponent);
+
+  /// A non-empty demand set of `size` ∈ [1, |S|] commodities.
+  CommoditySet operator()(CommodityId size, Rng& rng) const;
+
+ private:
+  CommodityId num_commodities_;
+  std::optional<ZipfSampler> zipf_;  // empty for exponent 0 (uniform)
+};
+
+/// One-shot DemandSetSampler draw.
 CommoditySet sample_demand_set(CommodityId num_commodities,
                                CommodityId size,
                                double popularity_exponent, Rng& rng);

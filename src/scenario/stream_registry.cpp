@@ -80,24 +80,36 @@ void append(std::vector<ScenarioParam>& params,
 }
 
 /// Demand-set draw shared by every family declaring the min_demand /
-/// max_demand / popularity_exponent trio.
-CommoditySet sample_demand(const ScenarioParams& p, CommodityId commodities,
-                           Rng& rng) {
-  const CommodityId min_demand = p.commodity_at("min_demand");
-  const CommodityId max_demand =
-      std::min<CommodityId>(p.commodity_at("max_demand"), commodities);
-  const CommodityId size = static_cast<CommodityId>(
-      rng.uniform_int(min_demand, std::max(min_demand, max_demand)));
-  return sample_demand_set(commodities, size, p.at("popularity_exponent"),
-                           rng);
-}
+/// max_demand / popularity_exponent trio. Built once per stream: the
+/// params are read and the Zipf table is built here, not per arrival.
+class DemandDraw {
+ public:
+  DemandDraw(const ScenarioParams& p, CommodityId commodities)
+      : min_demand_(p.commodity_at("min_demand")),
+        max_demand_(std::max(
+            min_demand_,
+            std::min<CommodityId>(p.commodity_at("max_demand"),
+                                  commodities))),
+        sets_(commodities, p.at("popularity_exponent")) {}
+
+  CommoditySet operator()(Rng& rng) const {
+    return sets_(static_cast<CommodityId>(
+                     rng.uniform_int(min_demand_, max_demand_)),
+                 rng);
+  }
+
+ private:
+  CommodityId min_demand_;
+  CommodityId max_demand_;
+  DemandSetSampler sets_;
+};
 
 /// Uniform-line arrival shared by the churn and lease families.
-Request sample_line_request(const ScenarioParams& p, std::size_t points,
-                            CommodityId commodities, Rng& rng) {
+Request sample_line_request(const DemandDraw& demand, std::size_t points,
+                            Rng& rng) {
   Request r;
   r.location = static_cast<PointId>(rng.uniform_index(points));
-  r.commodities = sample_demand(p, commodities, rng);
+  r.commodities = demand(rng);
   return r;
 }
 
@@ -119,7 +131,8 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
   if (hotspots == 0)
     throw std::invalid_argument(std::string(name) +
                                 ": at least one hotspot is required");
-  const double hot_exponent = p.at("hot_exponent");
+  const ZipfSampler hotspot_pick(hotspots, p.at("hot_exponent"));
+  const DemandDraw demand(p, commodities);
   const double spread = p.at("spread");
   const double churn = p.at("churn");
   const double mean_lease = p.at("mean_lease");
@@ -167,14 +180,14 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
       continue;
     }
     const auto [center_r, center_c] =
-        centers[rng.zipf(hotspots, hot_exponent)];
+        centers[hotspot_pick(rng)];
     const std::size_t row =
         clamp_cell(static_cast<double>(center_r) + rng.normal() * spread);
     const std::size_t col =
         clamp_cell(static_cast<double>(center_c) + rng.normal() * spread);
     Request r;
     r.location = static_cast<PointId>(row * side + col);
-    r.commodities = sample_demand(p, commodities, rng);
+    r.commodities = demand(rng);
     const std::uint64_t lease =
         mean_lease > 0.0
             ? 1 + static_cast<std::uint64_t>(
@@ -218,6 +231,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            const std::size_t num_events = p.size_t_at("events");
            const std::size_t warmup = p.size_t_at("warmup");
            const double churn = p.at("churn");
+           const DemandDraw demand(p, commodities);
 
            std::vector<StreamEvent> events;
            events.reserve(num_events);
@@ -231,7 +245,7 @@ void register_streams(StreamScenarioRegistry& registry) {
                active.pop_back();
              } else {
                events.push_back(StreamEvent::arrival(
-                   sample_line_request(p, points, commodities, rng)));
+                   sample_line_request(demand, points, rng)));
                active.push_back(next_id++);
              }
            }
@@ -308,6 +322,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            if (!(mean_lease > 0.0))
              throw std::invalid_argument(
                  "lease-poisson: mean_lease must be positive");
+           const DemandDraw demand(p, commodities);
 
            std::vector<StreamEvent> events;
            events.reserve(num_events);
@@ -316,7 +331,7 @@ void register_streams(StreamScenarioRegistry& registry) {
                  1 + static_cast<std::uint64_t>(
                          rng.exponential(1.0 / mean_lease));
              events.push_back(StreamEvent::arrival(
-                 sample_line_request(p, points, commodities, rng), lease));
+                 sample_line_request(demand, points, rng), lease));
            }
            return EventStream(
                LineMetric::uniform_grid(points, p.at("length")),

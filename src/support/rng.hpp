@@ -132,11 +132,6 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Zipf-distributed rank in [0, n) with exponent s >= 0 (s = 0 is
-  /// uniform). Sampled by inverse CDF over precomputable weights; for
-  /// repeated sampling prefer ZipfSampler below.
-  std::size_t zipf(std::size_t n, double s);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {

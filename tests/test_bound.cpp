@@ -1,14 +1,18 @@
 // Bound-layer tests: the dual-ascent bounder against hand-computed LP
 // values and the exact solver (weak duality: LB ≤ OPT on every exactly
 // solvable instance, across all four metric families and both cost
-// families), the independent certificate checker as a tamper detector,
+// families), the independent certificate checker as a tamper detector
+// and its sparse exhaustive sweep against a dense reference,
 // certificate serialization round-trips, the window decomposer and the
 // chunked composition, bitwise determinism across thread counts, the
 // bound registry roster, and the certified sweep columns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,10 +25,14 @@
 #include "cost/cost_models.hpp"
 #include "cost/heavy.hpp"
 #include "instance/event_stream.hpp"
+#include "instance/generators.hpp"
+#include "metric/euclidean_metric.hpp"
 #include "metric/line_metric.hpp"
 #include "metamorphic_common.hpp"
 #include "offline/opt_estimate.hpp"
+#include "perf/perf_counters.hpp"
 #include "scenario/sweep.hpp"
+#include "support/rng.hpp"
 
 namespace omflp {
 namespace {
@@ -244,6 +252,208 @@ TEST(CertificateExhaustive, CatchesAPairViolationTheAuditCannot) {
   EXPECT_NE(violation->find("config {3,7}/12"), std::string::npos)
       << *violation;
   EXPECT_NE(violation->find("at point 0"), std::string::npos) << *violation;
+}
+
+// ------------------------------------------ sparse exhaustive differential ---
+
+/// The dense exhaustive sweep the checker ran before its distance-ordered
+/// prefix cut, kept as a reference: every (σ, r, m) clipped term summed
+/// branch-free, one open_cost per (m, σ) in mask-major order. Returns the
+/// first violation with verify_certificate's exact wording; `checks`
+/// counts the constraints compared.
+std::optional<std::string> dense_exhaustive_reference(
+    const Instance& instance, const DualCertificate& cert, double tol,
+    std::uint64_t& checks) {
+  const std::size_t n = instance.num_requests();
+  const std::size_t points = instance.metric().num_points();
+  const CommodityId s = instance.num_commodities();
+  std::vector<std::uint64_t> masks(n, 0);
+  std::vector<double> dist(n * points);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Request& request = instance.request(static_cast<RequestId>(r));
+    request.commodities.for_each(
+        [&](CommodityId e) { masks[r] |= std::uint64_t{1} << e; });
+    for (PointId m = 0; m < points; ++m)
+      dist[r * points + m] = instance.metric().distance(request.location, m);
+  }
+  checks = 0;
+  std::vector<double> lhs(points);
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << s); ++mask) {
+    CommoditySet config(s);
+    for (CommodityId e = 0; e < s; ++e)
+      if (mask >> e & 1) config.add(e);
+    std::fill(lhs.begin(), lhs.end(), 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::uint64_t inter = mask & masks[r];
+      if (!inter) continue;
+      double sum = 0.0;
+      while (inter) {
+        const int bit = __builtin_ctzll(inter);
+        const std::uint64_t below =
+            masks[r] & ((std::uint64_t{1} << bit) - 1);
+        sum += cert.duals[r][static_cast<std::size_t>(
+            __builtin_popcountll(below))];
+        inter &= inter - 1;
+      }
+      const double* d = dist.data() + r * points;
+      for (PointId m = 0; m < points; ++m) {
+        const double clipped = sum - d[m];
+        lhs[m] += clipped > 0.0 ? clipped : 0.0;
+      }
+    }
+    for (PointId m = 0; m < points; ++m) {
+      const double rhs = instance.cost().open_cost(m, config);
+      ++checks;
+      if (!(lhs[m] <= rhs + tol * std::max(1.0, std::abs(rhs)))) {
+        std::ostringstream os;
+        os.precision(17);
+        os << "dual constraint violated for config " << config.to_string()
+           << " at point " << m << ": lhs " << lhs[m] << " > rhs " << rhs;
+        return os.str();
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// A random multi-point instance with |S| ≤ 8 under a point-scaled class-C
+/// cost (rhs varies by point): a line with repeated positions or a plane
+/// with integer coordinates, so distance ties are common.
+Instance random_differential_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t points = 2 + rng.uniform_index(9);
+  const CommodityId s = static_cast<CommodityId>(1 + rng.uniform_index(8));
+  MetricPtr metric;
+  if (seed % 2 == 0) {
+    std::vector<double> positions(points);
+    for (double& p : positions)
+      p = static_cast<double>(rng.uniform_index(6)) * 1.5;
+    metric = std::make_shared<LineMetric>(std::move(positions));
+  } else {
+    std::vector<double> coords(points * 2);
+    for (double& c : coords) c = static_cast<double>(rng.uniform_index(5));
+    metric = std::make_shared<EuclideanMetric>(2, std::move(coords));
+  }
+  std::vector<double> multipliers(points);
+  for (double& f : multipliers) f = rng.uniform(0.5, 2.0);
+  const CostModelPtr cost = std::make_shared<PointScaledCostModel>(
+      std::make_shared<PolynomialCostModel>(s, rng.uniform(0.0, 2.0),
+                                            rng.uniform(1.0, 6.0)),
+      std::move(multipliers));
+  std::vector<Request> requests(1 + rng.uniform_index(12));
+  for (Request& r : requests) {
+    r.location = static_cast<PointId>(rng.uniform_index(points));
+    r.commodities = sample_demand_set(
+        s, static_cast<CommodityId>(1 + rng.uniform_index(std::min(s, 3u))),
+        0.0, rng);
+  }
+  return Instance(std::move(metric), cost, std::move(requests),
+                  "differential");
+}
+
+/// Re-sums the objective so only dual feasibility (or the slack audit)
+/// can reject a tampered certificate.
+void refresh_objective(DualCertificate& cert) {
+  cert.objective = 0.0;
+  for (const std::vector<double>& row : cert.duals)
+    for (double a : row) cert.objective += a;
+}
+
+// The checker's sparse sweep against the dense reference on dual-ascent
+// certificates and on tampered copies: duals scaled up so clipped terms
+// reach far points, duals set exactly to a distance (clipped term exactly
+// 0), and tiny negative duals inside the dual floor. Whenever the dense
+// sweep reports a violation, verify_certificate must report the same text
+// (lhs printed to 17 digits) after the same number of constraint checks;
+// when it finds none, neither may the checker's exhaustive path.
+TEST(CertificateExhaustive, SparseSweepMatchesTheDenseReference) {
+  constexpr double kTol = VerifyCertificateOptions{}.tolerance;
+  std::size_t violations = 0, passes = 0;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    const Instance instance = random_differential_instance(seed);
+    const DualCertificate base = dual_ascent_lower_bound(instance).certificate;
+    std::vector<DualCertificate> certs = {base};
+    Rng rng(seed * 7919);
+    for (const double factor : {3.0, 12.0, 50.0}) {
+      DualCertificate scaled = base;
+      for (std::vector<double>& row : scaled.duals)
+        for (double& a : row) a *= factor;
+      refresh_objective(scaled);
+      certs.push_back(std::move(scaled));
+    }
+    DualCertificate at_distance = base;
+    for (std::size_t r = 0; r < at_distance.duals.size(); ++r) {
+      std::vector<double>& row = at_distance.duals[r];
+      std::fill(row.begin(), row.end(), 0.0);
+      const PointId m = static_cast<PointId>(
+          rng.uniform_index(instance.metric().num_points()));
+      row[rng.uniform_index(row.size())] = instance.metric().distance(
+          instance.request(static_cast<RequestId>(r)).location, m);
+    }
+    refresh_objective(at_distance);
+    certs.push_back(std::move(at_distance));
+    DualCertificate tiny_negative = base;
+    for (std::vector<double>& row : tiny_negative.duals)
+      for (double& a : row)
+        if (rng.bernoulli(0.5)) a = -1e-12;
+    refresh_objective(tiny_negative);
+    certs.push_back(std::move(tiny_negative));
+
+    for (const DualCertificate& cert : certs) {
+      std::uint64_t reference_checks = 0;
+      const std::optional<std::string> reference =
+          dense_exhaustive_reference(instance, cert, kTol, reference_checks);
+      PerfCounters counters;
+      std::optional<std::string> verdict;
+      {
+        PerfScope scope(counters);
+        verdict = verify_certificate(instance, cert);
+      }
+      if (reference) {
+        ++violations;
+        EXPECT_EQ(verdict, reference) << "seed " << seed;
+        EXPECT_EQ(counters.verifier_checks, reference_checks)
+            << "seed " << seed;
+        EXPECT_EQ(counters.distance_lookups,
+                  instance.num_requests() * instance.metric().num_points())
+            << "seed " << seed;
+      } else {
+        ++passes;
+        if (verdict) {
+          EXPECT_EQ(verdict->find("dual constraint violated"),
+                    std::string::npos)
+              << "seed " << seed << ": " << *verdict;
+        }
+      }
+    }
+  }
+  // Both outcomes must be well represented, or the comparison is vacuous.
+  EXPECT_GT(violations, 100u);
+  EXPECT_GT(passes, 100u);
+}
+
+// Two requests at the near end of a six-point line (positions 0..5) with
+// duals 6: every point is reached, the farthest (point 5) by the smallest
+// clipped terms, (6 − 5) + (6 − 4) = 3. Only there is the opening cost
+// cut below the lhs, so the only violation is at the point farthest from
+// every request — a prefix cut that stops one point short would miss it.
+TEST(CertificateExhaustive, ReportsAViolationOnlyAtTheFarthestPoint) {
+  const Instance instance(
+      LineMetric::uniform_grid(6, 5.0),
+      std::make_shared<PointScaledCostModel>(
+          std::make_shared<PolynomialCostModel>(1, 1.0, 100.0),
+          std::vector<double>{1.0, 1.0, 1.0, 1.0, 1.0, 0.02}),
+      {make_request(0, 1, {0}), make_request(1, 1, {0})}, "far-point");
+  DualCertificate cert;
+  cert.num_requests = 2;
+  cert.num_commodities = 1;
+  cert.num_points = 6;
+  cert.duals = {{6.0}, {6.0}};
+  cert.objective = 12.0;
+  cert.facility_slack = std::vector<double>(6, 0.0);
+  EXPECT_EQ(verify_certificate(instance, cert),
+            "dual constraint violated for config {0}/1 at point 5: lhs 3 > "
+            "rhs 2");
 }
 
 // ----------------------------------------------------------- serialization ---

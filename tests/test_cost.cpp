@@ -50,6 +50,38 @@ TEST(PolynomialCostModel, ClassCEndpoints) {
   EXPECT_DOUBLE_EQ(linear.cost_of_size(0), 0.0);
 }
 
+// g is a table built at construction; every entry must be bitwise the
+// closed form the model used to evaluate per call, and open_cost must
+// read the same entry. Scale and x pass through volatiles so the
+// reference pow runs in libm, as the model's does, not in the compiler.
+TEST(PolynomialCostModel, TableIsBitwiseTheClosedForm) {
+  constexpr CommodityId kS = 24;
+  Rng rng(2024);
+  for (const double x_value : {0.0, 0.5, 1.0, 1.7, 2.0}) {
+    for (const double scale_value : {1.0, 2.0, 0.37}) {
+      const volatile double x = x_value;
+      const volatile double scale = scale_value;
+      const PolynomialCostModel model(kS, x, scale);
+      EXPECT_EQ(model.cost_of_size(0), 0.0);
+      for (CommodityId k = 1; k <= kS; ++k)
+        EXPECT_EQ(model.cost_of_size(k),
+                  scale * std::pow(static_cast<double>(k), x / 2.0))
+            << "x=" << x_value << " scale=" << scale_value << " k=" << k;
+      for (int trial = 0; trial < 64; ++trial) {
+        CommoditySet config(kS);
+        const CommodityId size =
+            static_cast<CommodityId>(1 + rng.uniform_index(kS));
+        for (std::size_t e : rng.sample_without_replacement(kS, size))
+          config.add(static_cast<CommodityId>(e));
+        const PointId m = static_cast<PointId>(rng.uniform_index(8));
+        EXPECT_EQ(model.open_cost(m, config), model.cost_of_size(size));
+        EXPECT_EQ(*model.cost_by_size(m, size), model.cost_of_size(size));
+      }
+      EXPECT_THROW((void)model.cost_of_size(kS + 1), std::invalid_argument);
+    }
+  }
+}
+
 TEST(PolynomialCostModel, RejectsOutOfClassExponent) {
   EXPECT_THROW(PolynomialCostModel(4, -0.1), std::invalid_argument);
   EXPECT_THROW(PolynomialCostModel(4, 2.1), std::invalid_argument);

@@ -895,11 +895,23 @@ int cmd_serve(const std::vector<std::string>& args) {
               << " checkpoint generations published, " << restarts
               << " injected crash" << (restarts == 1 ? "" : "es") << "\n";
   const LatencySnapshot& latency = result.batch_latency;
-  std::cout << "latency    batch p50 " << latency.p50_ns / 1e6
-            << " ms, p95 " << latency.p95_ns / 1e6 << " ms, p99 "
-            << latency.p99_ns / 1e6 << " ms, p999 "
-            << latency.p999_ns / 1e6 << " ms, max " << latency.max_ns / 1e6
-            << " ms (" << latency.count << " batches)\n"
+  // A tail quantile is printed only when at least ten samples lie beyond
+  // it (p95 needs 200 batches, p99 1,000, p999 10,000); on thinner
+  // samples it would just repeat the max.
+  const auto tail = [&](const char* label, double ns,
+                        std::uint64_t min_count) {
+    std::cout << ", " << label << ' ';
+    if (latency.count >= min_count)
+      std::cout << ns / 1e6 << " ms";
+    else
+      std::cout << "n/a";
+  };
+  std::cout << "latency    batch p50 " << latency.p50_ns / 1e6 << " ms";
+  tail("p95", latency.p95_ns, 200);
+  tail("p99", latency.p99_ns, 1000);
+  tail("p999", latency.p999_ns, 10000);
+  std::cout << ", max " << latency.max_ns / 1e6 << " ms (" << latency.count
+            << " batches)\n"
             << "aggregate  gross " << result.aggregate_gross_cost
             << " active " << result.aggregate_active_cost << "\n";
   if (options.capacity > 0 || result.aggregate_shed_requests > 0 ||
