@@ -296,26 +296,32 @@ EngineResult ShardedEngine::run() const {
                                  /*final_round=*/live == 0);
     }
 
-    // Periodic checkpoint generation: serialize every tenant on the
-    // calling thread (sessions are between batches, so no request is in
-    // flight), publish tenant files first and the manifest last. The
-    // generation number is the round, so restarts keep it increasing.
+    // Periodic checkpoint generation. Sessions are between batches, so
+    // no request is in flight. The tenants are serialized on the engine's
+    // threads, each into its own payload slot (checkpoint() is const,
+    // reads only its tenant, ticks no counter and emits no trace event);
+    // the calling thread then publishes them in tenant order, tenant
+    // files first and the manifest last. The generation number is the
+    // round, so restarts keep it increasing.
     if (store && options_.checkpoint_every > 0 &&
         result.rounds % options_.checkpoint_every == 0) {
       CheckpointManifest manifest;
       manifest.generation = result.rounds;
       manifest.round = result.rounds;
       manifest.trace_seq = trace_seq;
-      std::vector<std::string> payloads;
-      payloads.reserve(num_tenants);
-      for (std::size_t i = 0; i < num_tenants; ++i) {
+      for (std::size_t i = 0; i < num_tenants; ++i)
         manifest.tenants.push_back(specs_[i].name);
-        std::ostringstream os;
-        CkptWriter writer(os);
-        states[i]->session.checkpoint(writer);
-        writer.finish();
-        payloads.push_back(os.str());
-      }
+      std::vector<std::string> payloads(num_tenants);
+      parallel_for(
+          num_tenants,
+          [&](std::size_t i) {
+            std::ostringstream os;
+            CkptWriter writer(os);
+            states[i]->session.checkpoint(writer);
+            writer.finish();
+            payloads[i] = std::move(os).str();
+          },
+          threads);
       store->publish(manifest, payloads);
       ++result.checkpoints_published;
     }

@@ -15,6 +15,7 @@ namespace {
 
 constexpr const char* kHeader = "OMFLP-CKPT 2";
 constexpr std::string_view kRetiredV1Header = "OMFLP-CKPT 1";
+constexpr std::string_view kChecksumKey = "checksum";
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -94,6 +95,11 @@ CkptWriter& CkptWriter::line(std::string_view key) {
     if (std::isspace(static_cast<unsigned char>(c)))
       throw std::invalid_argument("CkptWriter: whitespace in key '" +
                                   std::string(key) + "'");
+  // The checksum line ends every file; a data line keyed like it would
+  // make checkpoint_payload_valid() stop early and reject an intact file.
+  if (key == kChecksumKey)
+    throw std::invalid_argument("CkptWriter: key 'checksum' is reserved "
+                                "for the checksum line");
   flush_line();
   line_.assign(key);
   line_open_ = true;

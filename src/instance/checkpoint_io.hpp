@@ -61,7 +61,9 @@ class CkptWriter {
   CkptWriter(const CkptWriter&) = delete;
   CkptWriter& operator=(const CkptWriter&) = delete;
 
-  /// Flush the pending line and start a new one keyed `key`.
+  /// Flush the pending line and start a new one keyed `key`. Throws
+  /// std::invalid_argument on an empty key, embedded whitespace or the
+  /// reserved key "checksum".
   CkptWriter& line(std::string_view key);
   CkptWriter& u(std::uint64_t value);
   CkptWriter& b(bool value) { return u(value ? 1 : 0); }

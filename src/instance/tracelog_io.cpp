@@ -1,8 +1,8 @@
 #include "instance/tracelog_io.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -21,16 +21,67 @@ namespace {
 constexpr const char* kHeader =
     "{\"format\":\"OMFLP-TRACELOG\",\"version\":1}";
 
-void append_double(std::string& out, const char* field, double value) {
-  if (!std::isfinite(value))
-    throw std::invalid_argument(
-        std::string("tracelog_event_to_json: non-finite ") + field);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
+/// One event line under construction in a fixed stack buffer. Every kind
+/// but verifier_flag has a bounded line — at most kMaxTraceContributors
+/// contributors, each number at most 24 characters — so the hot path
+/// formats with no allocation; the line reaches the writer's buffer in
+/// one append, only once it is complete.
+class LineBuilder {
+ public:
+  /// A literal, length known at compile time.
+  template <std::size_t N>
+  void text(const char (&literal)[N]) {
+    std::memcpy(pos_, literal, N - 1);
+    pos_ += N - 1;
+  }
+
+  void text(std::string_view runtime) {
+    std::memcpy(pos_, runtime.data(), runtime.size());
+    pos_ += runtime.size();
+  }
+
+  /// `key` (",\"name\":") followed by a decimal integer.
+  template <std::size_t N>
+  void u64(const char (&key)[N], std::uint64_t value) {
+    text(key);
+    u64(value);
+  }
+
+  void u64(std::uint64_t value) {
+    pos_ = std::to_chars(pos_, end_, value).ptr;
+  }
+
+  /// `key` followed by printf "%.17g" text: std::to_chars with an
+  /// explicit precision is specified as printf in the "C" locale, and 17
+  /// significant digits round-trip every finite double.
+  template <std::size_t N>
+  void num(const char (&key)[N], double value) {
+    if (!std::isfinite(value))
+      // The field name sits between the key's ,"  and ": delimiters.
+      throw std::invalid_argument(
+          "TraceLogWriter: non-finite " + std::string(key + 2, N - 5));
+    text(key);
+    pos_ = std::to_chars(pos_, end_, value, std::chars_format::general, 17)
+               .ptr;
+  }
+
+  std::string_view view() const {
+    return {buf_, static_cast<std::size_t>(pos_ - buf_)};
+  }
+
+ private:
+  // facility_open is the longest bounded kind: under 1,500 characters
+  // with 16 contributors and every integer at its widest.
+  static constexpr std::size_t kCapacity = 4096;
+  static_assert(kMaxTraceContributors * 67 + 512 <= kCapacity,
+                "a contributor entry takes up to 67 characters");
+  char buf_[kCapacity];
+  char* pos_ = buf_;
+  char* const end_ = buf_ + kCapacity;
+};
 
 void append_escaped(std::string& out, const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -38,18 +89,104 @@ void append_escaped(std::string& out, const std::string& text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(
-                            static_cast<unsigned char>(c)));
-          out += buf;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xf];
         } else {
           out += c;
         }
+      }
     }
   }
+}
+
+/// Append one event's canonical line, newline included. Each kind writes
+/// a fixed field list in a fixed order. A field that cannot be written
+/// throws std::invalid_argument before `out` is touched.
+void append_event_line(std::string& out, const TraceEvent& event,
+                       std::uint64_t seq) {
+  LineBuilder line;
+  line.text("{\"seq\":");
+  line.u64(seq);
+  line.text(",\"kind\":\"");
+  line.text(trace_event_kind_name(event.kind));
+  line.text("\"");
+
+  switch (event.kind) {
+    case TraceEventKind::kFacilityOpen:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"commodity\":", event.commodity);
+      line.u64(",\"facility\":", event.facility);
+      line.u64(",\"point\":", event.point);
+      line.u64(",\"config_size\":", event.config_size);
+      line.u64(",\"constraint\":", event.constraint);
+      line.num(",\"cost\":", event.cost);
+      line.num(",\"bid_mass\":", event.bid_mass);
+      line.num(",\"tightness\":", event.tightness);
+      if (event.contributors.size() > kMaxTraceContributors)
+        throw std::invalid_argument(
+            "TraceLogWriter: contributor list exceeds the cap");
+      line.text(",\"contributors\":[");
+      for (std::size_t i = 0; i < event.contributors.size(); ++i) {
+        if (i) line.text(",");
+        line.u64("{\"request\":", event.contributors[i].request);
+        line.num(",\"amount\":", event.contributors[i].amount);
+        line.text("}");
+      }
+      line.text("]");
+      line.num(",\"residual\":", event.residual);
+      break;
+    case TraceEventKind::kRequestAssign:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"commodity\":", event.commodity);
+      line.u64(",\"facility\":", event.facility);
+      line.u64(",\"point\":", event.point);
+      line.num(",\"cost\":", event.cost);
+      break;
+    case TraceEventKind::kBidRollback:
+      line.u64(",\"request\":", event.request);
+      line.num(",\"bid_mass\":", event.bid_mass);
+      line.num(",\"cost\":", event.cost);
+      break;
+    case TraceEventKind::kDepart:
+    case TraceEventKind::kLeaseExpire:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"stream_event\":", event.stream_event);
+      break;
+    case TraceEventKind::kDualRaise:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"commodity\":", event.commodity);
+      line.u64(",\"config_size\":", event.config_size);
+      line.num(",\"cost\":", event.cost);
+      break;
+    case TraceEventKind::kVerifierFlag: {
+      // The note is unbounded, so this line is finished on the heap and
+      // still reaches `out` in one append.
+      line.u64(",\"request\":", event.request);
+      line.text(",\"note\":\"");
+      std::string flag_line(line.view());
+      append_escaped(flag_line, event.note);
+      flag_line += "\"}\n";
+      out += flag_line;
+      return;
+    }
+    case TraceEventKind::kRequestReject:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"commodity\":", event.commodity);
+      break;
+    case TraceEventKind::kRequestSpill:
+      line.u64(",\"request\":", event.request);
+      line.u64(",\"commodity\":", event.commodity);
+      line.u64(",\"facility\":", event.facility);
+      line.u64(",\"point\":", event.point);
+      line.num(",\"cost\":", event.cost);
+      break;
+  }
+  line.text("}\n");
+  out += line.view();
 }
 
 /// Strict scanner over one tracelog line. Every expectation is literal —
@@ -282,99 +419,6 @@ TraceEvent parse_event_line(const std::string& line,
 
 }  // namespace
 
-std::string tracelog_event_to_json(const TraceEvent& event,
-                                   std::uint64_t seq) {
-  std::string out = "{\"seq\":";
-  out += std::to_string(seq);
-  out += ",\"kind\":\"";
-  out += trace_event_kind_name(event.kind);
-  out += '"';
-
-  const auto u64 = [&](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  const auto num = [&](const char* name, double value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    append_double(out, name, value);
-  };
-
-  switch (event.kind) {
-    case TraceEventKind::kFacilityOpen: {
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      u64("config_size", event.config_size);
-      u64("constraint", event.constraint);
-      num("cost", event.cost);
-      num("bid_mass", event.bid_mass);
-      num("tightness", event.tightness);
-      if (event.contributors.size() > kMaxTraceContributors)
-        throw std::invalid_argument(
-            "tracelog_event_to_json: contributor list exceeds the cap");
-      out += ",\"contributors\":[";
-      for (std::size_t i = 0; i < event.contributors.size(); ++i) {
-        if (i) out += ',';
-        out += "{\"request\":";
-        out += std::to_string(event.contributors[i].request);
-        out += ",\"amount\":";
-        append_double(out, "amount", event.contributors[i].amount);
-        out += '}';
-      }
-      out += ']';
-      num("residual", event.residual);
-      break;
-    }
-    case TraceEventKind::kRequestAssign:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kBidRollback:
-      u64("request", event.request);
-      num("bid_mass", event.bid_mass);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kDepart:
-    case TraceEventKind::kLeaseExpire:
-      u64("request", event.request);
-      u64("stream_event", event.stream_event);
-      break;
-    case TraceEventKind::kDualRaise:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("config_size", event.config_size);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kVerifierFlag:
-      u64("request", event.request);
-      out += ",\"note\":\"";
-      append_escaped(out, event.note);
-      out += '"';
-      break;
-    case TraceEventKind::kRequestReject:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      break;
-    case TraceEventKind::kRequestSpill:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      num("cost", event.cost);
-      break;
-  }
-  out += '}';
-  return out;
-}
-
 // --------------------------------------------------------------- writer ---
 
 TraceLogWriter::TraceLogWriter(std::ostream& os) : os_(os) {
@@ -393,14 +437,27 @@ TraceLogWriter::~TraceLogWriter() {
 void TraceLogWriter::on_event(const TraceEvent& event) {
   if (finished_)
     throw std::logic_error("TraceLogWriter: on_event after finish");
-  os_ << tracelog_event_to_json(event, seq_) << '\n';
+  // Throws before touching the buffer when a field cannot be written, so
+  // a failed event leaves no partial line and seq_ unadvanced.
+  append_event_line(buffer_, event, seq_);
   ++seq_;
+  if (buffer_.size() >= kFlushBytes) flush_buffer();
+}
+
+void TraceLogWriter::flush_buffer() {
+  os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
 }
 
 void TraceLogWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  os_ << "{\"end\":true,\"events\":" << seq_ << "}\n";
+  LineBuilder line;
+  line.text("{\"end\":true,\"events\":");
+  line.u64(seq_);
+  line.text("}\n");
+  buffer_ += line.view();
+  flush_buffer();
   os_.flush();
 }
 

@@ -11,9 +11,13 @@
 // enforces seq == line index, so a dropped, duplicated or reordered line
 // is detected immediately; the trailing end line pins the total count, so
 // truncation is detected too. Each kind serializes a fixed field list in
-// a fixed order with %.17g doubles, which makes read → rewrite reproduce
-// the input byte for byte — tracelogs double as golden-trace differential
-// artifacts (the CI trace-smoke job diffs OMFLP_THREADS=1 vs 4 outputs).
+// a fixed order; doubles are printf `%.17g` text, produced with
+// std::to_chars (specified as printf in the "C" locale), which makes
+// read → rewrite reproduce the input byte for byte — tracelogs double as
+// golden-trace differential artifacts (the CI trace-smoke job diffs
+// OMFLP_THREADS=1 vs 4 outputs). The writer buffers and publishes whole
+// lines: each event is appended to an in-memory buffer that is handed to
+// the ostream every ~64 KiB and at finish().
 //
 // The reader is strict in the spirit of support/parse.hpp: unknown kinds,
 // out-of-order fields, non-finite numbers, seq gaps, a missing end line
@@ -23,6 +27,7 @@
 // allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -33,14 +38,14 @@
 
 namespace omflp {
 
-/// Serialize one event as its canonical single-line JSON (no newline).
-std::string tracelog_event_to_json(const TraceEvent& event,
-                                   std::uint64_t seq);
-
-/// A TraceSink that streams events straight to `os` in OMFLP-TRACELOG v1.
-/// The header is written on construction; call finish() (or let the
-/// destructor do it) to append the end line. The ostream must outlive the
-/// writer.
+/// A TraceSink that writes events to `os` in OMFLP-TRACELOG v1. The
+/// header is written on construction; event lines collect in a buffer
+/// that reaches `os` in whole lines every kFlushBytes and at finish().
+/// Call finish() (or let the destructor do it) to append the end line.
+/// An event that cannot be written (a non-finite number, an oversized
+/// contributor list) throws std::invalid_argument and leaves neither a
+/// partial line nor an advanced events_written(). The ostream must
+/// outlive the writer.
 class TraceLogWriter final : public TraceSink {
  public:
   explicit TraceLogWriter(std::ostream& os);
@@ -57,8 +62,14 @@ class TraceLogWriter final : public TraceSink {
 
   std::uint64_t events_written() const noexcept { return seq_; }
 
+  /// Buffer size at which on_event hands the buffer to the ostream.
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
  private:
+  void flush_buffer();
+
   std::ostream& os_;
+  std::string buffer_;
   std::uint64_t seq_ = 0;
   bool finished_ = false;
 };

@@ -56,6 +56,15 @@ void render_event(std::ostringstream& os, const TraceEvent& ev,
     case TraceEventKind::kVerifierFlag:
       os << "  request " << ev.request << ": " << ev.note;
       break;
+    case TraceEventKind::kRequestReject:
+      os << "  request " << ev.request << " shed commodity "
+         << ev.commodity;
+      break;
+    case TraceEventKind::kRequestSpill:
+      os << "  request " << ev.request << " -> facility " << ev.facility
+         << " at point " << ev.point << " (commodity " << ev.commodity
+         << ", dist " << fmt(ev.cost) << ")";
+      break;
   }
   os << "\n";
 }
@@ -178,7 +187,9 @@ std::string explain_request(const std::vector<TraceEvent>& events,
 }
 
 std::string explain_summary(const std::vector<TraceEvent>& events) {
-  std::array<std::size_t, 7> by_kind{};
+  constexpr std::size_t kNumKinds =
+      static_cast<std::size_t>(TraceEventKind::kRequestSpill) + 1;
+  std::array<std::size_t, kNumKinds> by_kind{};
   double opening_cost = 0.0;
   double rolled_back_mass = 0.0;
   for (const TraceEvent& ev : events) {
@@ -189,10 +200,10 @@ std::string explain_summary(const std::vector<TraceEvent>& events) {
   }
   std::ostringstream os;
   os << "trace: " << events.size() << " events\n";
-  for (int k = 0; k <= 6; ++k)
-    if (by_kind[static_cast<std::size_t>(k)] > 0)
+  for (std::size_t k = 0; k < kNumKinds; ++k)
+    if (by_kind[k] > 0)
       os << "  " << trace_event_kind_name(static_cast<TraceEventKind>(k))
-         << ": " << by_kind[static_cast<std::size_t>(k)] << "\n";
+         << ": " << by_kind[k] << "\n";
   if (by_kind[0] > 0)
     os << "total opening cost across openings: " << fmt(opening_cost)
        << "\n";

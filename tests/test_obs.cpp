@@ -6,8 +6,14 @@
 // style instance where the opening chain is known.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -163,6 +169,174 @@ TEST(TraceLog, WriterCountsAndRefusesEventsAfterFinish) {
   writer.finish();  // idempotent
   EXPECT_EQ(writer.events_written(), 1u);
   EXPECT_THROW(writer.on_event(ev), std::logic_error);
+}
+
+/// The reference formatter the writer replaced: glibc printf "%.17g".
+/// The value passes through a volatile so the formatting happens in libc
+/// at run time, never in the compiler's constant folder.
+std::string printf_g17(double value) {
+  volatile double input = value;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", input);
+  return buf;
+}
+
+/// A request_assign event whose last field is `cost` (the field the
+/// atomicity checks poison).
+TraceEvent assign_event(RequestId request, double cost) {
+  TraceEvent ev;
+  ev.kind = TraceEventKind::kRequestAssign;
+  ev.request = request;
+  ev.commodity = static_cast<CommodityId>(request % 7);
+  ev.facility = static_cast<FacilityId>(request / 3);
+  ev.point = static_cast<PointId>(request % 101);
+  ev.cost = cost;
+  return ev;
+}
+
+std::string expected_assign_line(const TraceEvent& ev, std::uint64_t seq) {
+  return "{\"seq\":" + std::to_string(seq) +
+         ",\"kind\":\"request_assign\",\"request\":" +
+         std::to_string(ev.request) +
+         ",\"commodity\":" + std::to_string(ev.commodity) +
+         ",\"facility\":" + std::to_string(ev.facility) +
+         ",\"point\":" + std::to_string(ev.point) +
+         ",\"cost\":" + printf_g17(ev.cost) + "}\n";
+}
+
+constexpr const char* kTraceLogHeader =
+    "{\"format\":\"OMFLP-TRACELOG\",\"version\":1}\n";
+
+TEST(TraceLog, DoublesMatchPrintfG17) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      9007199254740992.0 - 1.0,  // 2^53 - 1
+      9007199254740992.0,        // 2^53
+      9007199254740992.0 + 2.0,  // 2^53 + 1 rounds to the next double
+      0.1,
+      0.2,
+      0.3,
+      1.0 / 3.0,
+      2.0 / 3.0,
+      1e-300,
+      1e300,
+      1e16,
+      1e17,
+      1e-5,
+      1e-4,
+      123456789012345678.0,
+      0.30000000000000004,  // needs all 17 digits
+      5e-324,
+      1.7976931348623157e308,
+      2.2250738585072014e-308,
+      4.9406564584124654e-324,
+      1.0,
+      -1.0,
+      100.0,
+      0.5,
+      12345.678901234567};
+  std::mt19937_64 rng(20260417);
+  while (values.size() < 110000) {
+    const double value = std::bit_cast<double>(rng());
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  // A narrow band of ordinary magnitudes too, where the choice between
+  // fixed and exponent notation is made.
+  std::uniform_real_distribution<double> exponent(-20.0, 20.0);
+  for (int i = 0; i < 20000; ++i)
+    values.push_back(std::pow(10.0, exponent(rng)));
+
+  std::ostringstream os;
+  TraceLogWriter writer(os);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    writer.on_event(assign_event(static_cast<RequestId>(i), values[i]));
+  writer.finish();
+
+  std::istringstream lines(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));  // header
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(std::getline(lines, line)) << "missing line " << i;
+    const std::size_t at = line.rfind(",\"cost\":");
+    ASSERT_NE(at, std::string::npos);
+    const std::string text = line.substr(at + 8, line.size() - at - 9);
+    const std::string reference = printf_g17(values[i]);
+    if (text != reference && ++mismatches <= 10)
+      ADD_FAILURE() << "bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(values[i]) << std::dec
+                    << ": wrote " << text << ", printf gives " << reference;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(TraceLog, BufferedWriterIsByteIdenticalAndAtomicPerEvent) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> cost(0.0, 1000.0);
+  // The one unbounded kind: a verifier note with every escaped byte.
+  TraceEvent flag;
+  flag.kind = TraceEventKind::kVerifierFlag;
+  flag.request = 3;
+  flag.note = "a\"b\\c\nd\r\t\x01\x1f~";
+  std::vector<TraceEvent> events = {flag};
+  std::string expected = kTraceLogHeader;
+  expected +=
+      "{\"seq\":0,\"kind\":\"verifier_flag\",\"request\":3,"
+      "\"note\":\"a\\\"b\\\\c\\nd\\r\\t\\u0001\\u001f~\"}\n";
+  while (expected.size() < 3 * TraceLogWriter::kFlushBytes + 4096) {
+    events.push_back(
+        assign_event(static_cast<RequestId>(events.size()), cost(rng)));
+    expected += expected_assign_line(events.back(), events.size() - 1);
+  }
+
+  std::ostringstream os;
+  TraceLogWriter writer(os);
+  for (const TraceEvent& ev : events) {
+    writer.on_event(ev);
+    // Whatever reached the stream so far is whole lines of the log.
+    const std::string published = os.str();
+    ASSERT_EQ(published.back(), '\n');
+    ASSERT_EQ(expected.compare(0, published.size(), published), 0);
+  }
+  EXPECT_GT(os.str().size(), 3 * TraceLogWriter::kFlushBytes)
+      << "the buffer is handed over before finish()";
+  EXPECT_EQ(writer.events_written(), events.size());
+
+  // A NaN in the line's last field throws after the line's other fields
+  // were formatted; the half-built line must not survive.
+  const std::uint64_t before = writer.events_written();
+  EXPECT_THROW(writer.on_event(assign_event(
+                   0, std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
+  EXPECT_EQ(writer.events_written(), before);
+  TraceEvent open;
+  open.kind = TraceEventKind::kFacilityOpen;
+  open.contributors = {{1, 2.0}, {2, std::numeric_limits<double>::infinity()}};
+  EXPECT_THROW(writer.on_event(open), std::invalid_argument);
+  EXPECT_EQ(writer.events_written(), before);
+
+  writer.finish();
+  expected +=
+      "{\"end\":true,\"events\":" + std::to_string(events.size()) + "}\n";
+  const std::string written = os.str();
+  const auto diff = std::mismatch(written.begin(), written.end(),
+                                  expected.begin(), expected.end());
+  EXPECT_TRUE(written == expected)
+      << "first difference at byte " << (diff.first - written.begin())
+      << " of " << written.size() << " (expected " << expected.size()
+      << "): "
+      << written.substr(static_cast<std::size_t>(diff.first - written.begin()),
+                        80);
+  const std::vector<TraceEvent> reread = tracelog_from_string(os.str());
+  ASSERT_EQ(reread.size(), events.size());
+  EXPECT_EQ(tracelog_to_string(reread), expected);
 }
 
 TEST(TraceLog, TamperedLogsAreRejected) {
@@ -490,6 +664,36 @@ TEST(Explain, UnknownFacilityThrowsAndRollbacksAreReported) {
   // view renders without throwing for every request seen in the trace.
   const std::string summary = explain_trace(events, {});
   EXPECT_NE(summary.find("bid_rollback"), std::string::npos) << summary;
+}
+
+TEST(Explain, ShedAndSpilledRequestsAreRendered) {
+  TraceEvent reject;
+  reject.kind = TraceEventKind::kRequestReject;
+  reject.request = 5;
+  reject.commodity = 2;
+  TraceEvent spill;
+  spill.kind = TraceEventKind::kRequestSpill;
+  spill.request = 5;
+  spill.commodity = 3;
+  spill.facility = 7;
+  spill.point = 11;
+  spill.cost = 2.5;
+  const std::vector<TraceEvent> events = {reject, spill, reject};
+
+  const std::string view = explain_trace(events, {.request = RequestId{5}});
+  EXPECT_NE(view.find("[0] request_reject  request 5 shed commodity 2\n"),
+            std::string::npos)
+      << view;
+  EXPECT_NE(view.find("[1] request_spill  request 5 -> facility 7 at point "
+                      "11 (commodity 3, dist 2.5)\n"),
+            std::string::npos)
+      << view;
+
+  const std::string summary = explain_trace(events, {});
+  EXPECT_NE(summary.find("request_reject: 2\n"), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("request_spill: 1\n"), std::string::npos)
+      << summary;
 }
 
 }  // namespace

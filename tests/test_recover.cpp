@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -253,6 +254,29 @@ TEST(CheckpointIo, StrictReaderErrors) {
     r.expect("key");
     EXPECT_THROW((void)r.d(), std::invalid_argument);
   }
+}
+
+TEST(CheckpointIo, ChecksumKeyIsReserved) {
+  // A data line keyed "checksum" would end checkpoint_payload_valid()'s
+  // scan early and reject an intact file, so the writer refuses it.
+  std::ostringstream os;
+  CkptWriter writer(os);
+  writer.line("key").u(7);
+  EXPECT_THROW(writer.line("checksum"), std::invalid_argument);
+  EXPECT_THROW(writer.line("checksum").u(1), std::invalid_argument);
+  // The refused key leaves the open line intact: the file still seals
+  // and validates.
+  writer.line("checksums").u(2);
+  writer.finish();
+  std::istringstream valid(os.str());
+  EXPECT_TRUE(checkpoint_payload_valid(valid));
+  std::istringstream is(os.str());
+  CkptReader reader(is);
+  reader.expect("key");
+  EXPECT_EQ(reader.u(), 7u);
+  reader.expect("checksums");
+  EXPECT_EQ(reader.u(), 2u);
+  reader.finish();
 }
 
 // ------------------------------------------------- session round trips ---
@@ -691,6 +715,86 @@ TEST(EngineRecovery, MigrationRestoreUnderNewPlacementIsBitwiseIdentical) {
   EXPECT_EQ(migrated.tenants[0].shard, 3u);
   EXPECT_EQ(migrated.tenants[3].shard, 0u);
   expect_engine_results_identical(migrated, reference, "migrated");
+}
+
+/// A checkpoint file minus its wall-time `session-stats` line and the
+/// checksum line that covers it.
+std::string without_wall_time_lines(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("session-stats ", 0) == 0 ||
+        line.rfind("checksum ", 0) == 0)
+      continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+std::map<std::string, std::string> checkpoint_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files[entry.path().filename().string()] = slurp(entry.path().string());
+  return files;
+}
+
+TEST(EngineRecovery, CheckpointFilesIndependentOfThreadCount) {
+  // Capacity 6 with reject on lease-heavy traffic: shed requests, pending
+  // expiries and rollbacks all land in the snapshots.
+  std::vector<TenantSpec> specs = default_workload_mix_registry().tenants(
+      "lease-heavy", 4, 3, 0.25);
+  for (TenantSpec& spec : specs) spec.algorithm = "pd";
+
+  EngineOptions base;
+  base.batch_size = 128;
+  base.capacity = 6;
+  base.overflow = OverflowPolicy::kReject;
+  base.checkpoint_every = 2;
+
+  std::map<std::string, std::string> files[2];
+  EngineResult results[2];
+  const std::size_t thread_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    ScratchDir dir("threads" + std::to_string(thread_counts[k]));
+    EngineOptions options = base;
+    options.shards = thread_counts[k];
+    options.threads = thread_counts[k];
+    options.checkpoint_dir = dir.str();
+    results[k] = ShardedEngine(specs, options).run();
+    EXPECT_GE(results[k].checkpoints_published, 2u);
+    files[k] = checkpoint_files(dir.str());
+
+    // Every tenant file sits in its own slot: a fresh engine restoring
+    // the final generation reproduces the uninterrupted results.
+    const EngineResult restored = ShardedEngine(specs, options).run();
+    EXPECT_GT(restored.restored_from_round, 0u);
+    expect_engine_results_identical(
+        restored, results[k], "restore threads=" +
+                                  std::to_string(thread_counts[k]));
+  }
+  expect_engine_results_identical(results[0], results[1], "threads 1 vs 4");
+  std::uint64_t shed = 0;
+  for (const TenantResult& tenant : results[1].tenants)
+    shed += tenant.run.ledger.num_shed_requests();
+  EXPECT_GT(shed, 0u) << "capacity 6 must shed on lease-heavy traffic";
+
+  ASSERT_EQ(files[0].size(), files[1].size());
+  std::size_t tenant_files = 0;
+  for (const auto& [name, text] : files[0]) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(files[1].count(name), 1u);
+    if (name.rfind("MANIFEST", 0) == 0) {
+      EXPECT_EQ(text, files[1].at(name));
+    } else {
+      ASSERT_EQ(name.rfind("t", 0), 0u);
+      ++tenant_files;
+      EXPECT_EQ(without_wall_time_lines(text),
+                without_wall_time_lines(files[1].at(name)));
+    }
+  }
+  EXPECT_EQ(tenant_files, 2 * specs.size()) << "two generations kept";
 }
 
 TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {
