@@ -13,6 +13,8 @@ void OnlineAlgorithm::depart(RequestId id, const Request& request,
   (void)ledger;
 }
 
+void OnlineAlgorithm::compact_departed() {}
+
 void OnlineAlgorithm::serialize_state(CkptWriter& writer) const {
   // Stateless beyond reset(): nothing to capture.
   (void)writer;

@@ -54,6 +54,15 @@ class OnlineAlgorithm {
   virtual void depart(RequestId id, const Request& request,
                       SolutionLedger& ledger);
 
+  /// Dynamic streams: the runner's batch-end compaction point (under
+  /// StreamRunOptions::compact, beside SolutionLedger::compact_retired).
+  /// An algorithm whose depart() leaves nothing of a request behind may
+  /// drop that request's per-request state here, so its state stays
+  /// O(active set). Must not change any future decision, cost or trace
+  /// event. The default keeps everything (the frozen policy's state is
+  /// the departed requests' sunk investment).
+  virtual void compact_departed();
+
   /// Checkpoint/restore (instance/checkpoint_io.hpp). serialize_state
   /// writes the algorithm's complete mutable state in canonical form —
   /// serialize → restore → serialize must be byte-identical, and a

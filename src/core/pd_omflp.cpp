@@ -10,6 +10,7 @@
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
+#include "support/request_index.hpp"
 
 namespace omflp {
 
@@ -138,6 +139,7 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
                  by_commodity_[e].size() * offering_[e].size());
   for (const auto& [j, slot] : by_commodity_[e]) {
     const PastRequest& pr = past_[j];
+    if (pr.departed) continue;  // rolled back: zero duals, no bid
     // Lazily fetched: a request with no facility to scan and no positive
     // bid never pays for a row materialization on the uncached-oracle
     // path. One fetch serves both the facility scan and the accumulation.
@@ -161,6 +163,7 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
 void PdOmflp::recompute_large_bid_row(std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
   for (const PastRequest& pr : past_) {
+    if (pr.departed) continue;  // rolled back: zero duals, no bid
     const double* dist_j = larges_.empty() ? nullptr
                                            : dist_->row(pr.location);
     double dist_large = kInfiniteDistance;
@@ -222,6 +225,9 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
     offering_[e].push_back(OpenRecord{point, id});
     for (const auto& [j, slot] : by_commodity_[e]) {
       PastRequest& pr = past_[j];
+      // A rolled-back slot has zero duals: no bid to shift, and no
+      // future use for its distance.
+      if (pr.departed) continue;
       const double d_new = (*dist_)(point, pr.location);
       if (d_new >= pr.small_dist[slot]) continue;
       if (incremental) {
@@ -241,6 +247,7 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   if (!is_large) return;
   larges_.push_back(LargeRecord{point, id, config});
   for (PastRequest& pr : past_) {
+    if (pr.departed) continue;
     bool covers = true;
     for (CommodityId e : pr.commodities) {
       if (excluded_.contains(e)) continue;
@@ -267,13 +274,14 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   }
 }
 
-void PdOmflp::archive_request(const Request& request,
+void PdOmflp::archive_request(RequestId id, const Request& request,
                               const std::vector<CommodityId>& commodities,
                               const std::vector<double>& duals) {
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
 
   PastRequest pr;
+  pr.id = id;
   pr.location = request.location;
   pr.commodities = commodities;
   pr.duals = duals;
@@ -321,7 +329,7 @@ void PdOmflp::archive_request(const Request& request,
     for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
       TraceEvent ev;
       ev.kind = TraceEventKind::kDualRaise;
-      ev.request = j;
+      ev.request = id;
       ev.commodity = commodities[slot];
       ev.config_size = 1;
       ev.cost = duals[slot];
@@ -337,8 +345,9 @@ void PdOmflp::depart(RequestId id, const Request& request,
   OMFLP_CHECK(cost_ != nullptr, "PdOmflp: depart() before reset()");
   if (options_.deletion_policy == PdOptions::DeletionPolicy::kFrozen)
     return;
-  OMFLP_REQUIRE(id < past_.size(), "PdOmflp: depart of unknown request");
-  PastRequest& pr = past_[id];
+  const std::size_t j = index_of_request(past_, id);
+  OMFLP_REQUIRE(j < past_.size(), "PdOmflp: depart of unknown request");
+  PastRequest& pr = past_[j];
   OMFLP_REQUIRE(!pr.departed, "PdOmflp: request departed twice");
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
@@ -384,11 +393,24 @@ void PdOmflp::depart(RequestId id, const Request& request,
     ev.cost = dual_removed;
     obs::emit(ev);
   }
-  // With the duals zeroed, reference-mode recomputation skips the slot
-  // (min{0, d} is never positive) and integrate_facility's shifts become
-  // no-ops, so both bid modes keep agreeing after deletions. The
-  // maintained small_dist / large_dist stay updated — that keeps
-  // audit_state's stale-distance check meaningful for departed slots too.
+  // With the duals zeroed the slot can never reach a bid row again:
+  // reference-mode recomputation, integrate_facility and the trace
+  // contributor lists all skip it, so both bid modes keep agreeing after
+  // deletions, and compact_departed() may drop it.
+}
+
+void PdOmflp::index_by_commodity() {
+  for (auto& entries : by_commodity_) entries.clear();  // keeps capacity
+  for (std::size_t j = 0; j < past_.size(); ++j)
+    for (std::size_t slot = 0; slot < past_[j].commodities.size(); ++slot)
+      by_commodity_[past_[j].commodities[slot]].emplace_back(
+          j, static_cast<std::uint32_t>(slot));
+}
+
+void PdOmflp::compact_departed() {
+  if (options_.deletion_policy == PdOptions::DeletionPolicy::kFrozen) return;
+  if (std::erase_if(past_, [](const PastRequest& pr) { return pr.departed; }))
+    index_by_commodity();
 }
 
 std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
@@ -396,8 +418,8 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
   std::ostringstream os;
 
   // 1. Maintained nearest-facility distances vs fresh scans.
-  for (std::size_t j = 0; j < past_.size(); ++j) {
-    const PastRequest& pr = past_[j];
+  for (const PastRequest& pr : past_) {
+    if (pr.departed) continue;  // rolled back: distances no longer kept
     for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
       const double fresh =
           nearest_offering(pr.commodities[slot], pr.location).first;
@@ -405,7 +427,7 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
           !std::isfinite(fresh) && !std::isfinite(pr.small_dist[slot]);
       if (!both_infinite &&
           std::abs(fresh - pr.small_dist[slot]) > tolerance) {
-        os << "stale small_dist for request " << j << " slot " << slot
+        os << "stale small_dist for request " << pr.id << " slot " << slot
            << ": maintained " << pr.small_dist[slot] << " vs fresh "
            << fresh;
         return os.str();
@@ -418,7 +440,7 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     const bool both_infinite =
         !std::isfinite(fresh_large) && !std::isfinite(pr.large_dist);
     if (!both_infinite && std::abs(fresh_large - pr.large_dist) > tolerance) {
-      os << "stale large_dist for request " << j << ": maintained "
+      os << "stale large_dist for request " << pr.id << ": maintained "
          << pr.large_dist << " vs fresh " << fresh_large;
       return os.str();
     }
@@ -754,7 +776,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
       const double v = std::min(pr.duals[pslot], pr.small_dist[pslot]);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr.location]);
-      if (amount > 0.0) contribs.push_back(TraceContributor{j, amount});
+      if (amount > 0.0) contribs.push_back(TraceContributor{pr.id, amount});
     }
     const double own = positive_part(a[slot] - dist_loc[temp_point[slot]]);
     if (own > 0.0)
@@ -775,12 +797,11 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     ev.tightness = traced_large_tightness;
     std::vector<TraceContributor> contribs;
     const double* dist_m = dist_->row(new_large_point);
-    for (std::size_t j = 0; j < past_.size(); ++j) {
-      const PastRequest& pr = past_[j];
+    for (const PastRequest& pr : past_) {
       const double v = std::min(pr.dual_sum_large, pr.large_dist);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr.location]);
-      if (amount > 0.0) contribs.push_back(TraceContributor{j, amount});
+      if (amount > 0.0) contribs.push_back(TraceContributor{pr.id, amount});
     }
     const double own = positive_part(sum_eligible - dist_loc[new_large_point]);
     if (own > 0.0)
@@ -818,14 +839,15 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   for (const NewFacility& nf : committed)
     integrate_facility(nf.point, nf.config, nf.id, nf.is_large);
 
-  archive_request(request, commodities, a);
+  archive_request(request_id, request, commodities, a);
 }
 
 std::vector<PdDualRecord> PdOmflp::dual_records() const {
   std::vector<PdDualRecord> records;
   records.reserve(past_.size());
   for (const PastRequest& pr : past_)
-    records.push_back(PdDualRecord{pr.location, pr.commodities, pr.duals});
+    records.push_back(
+        PdDualRecord{pr.id, pr.location, pr.commodities, pr.duals});
   return records;
 }
 
@@ -866,6 +888,7 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
   writer.line("past").u(past_.size());
   for (const PastRequest& pr : past_) {
     writer.line("past-request")
+        .u(pr.id)
         .u(pr.location)
         .u(pr.commodities.size())
         .d(pr.large_dist)
@@ -935,9 +958,12 @@ void PdOmflp::restore_state(CkptReader& reader) {
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
   past_.reserve(capped_reserve(num_past));
-  for (std::uint64_t j = 0; j < num_past; ++j) {
+  for (std::uint64_t k = 0; k < num_past; ++k) {
     reader.expect("past-request");
     PastRequest pr;
+    pr.id = static_cast<RequestId>(reader.u());
+    if (!past_.empty() && pr.id <= past_.back().id)
+      reader.fail("past request ids out of order");
     pr.location = static_cast<PointId>(reader.u());
     const std::uint64_t slots = reader.u();
     pr.large_dist = reader.d();
@@ -962,12 +988,10 @@ void PdOmflp::restore_state(CkptReader& reader) {
     reader.expect("past-small-dist");
     for (std::uint64_t i = 0; i < slots; ++i)
       pr.small_dist.push_back(reader.d());
-    // Rebuild the per-commodity index (a pure function of past_).
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
-      by_commodity_[pr.commodities[slot]].emplace_back(
-          static_cast<std::size_t>(j), static_cast<std::uint32_t>(slot));
     past_.push_back(std::move(pr));
   }
+  // The per-commodity index is a pure function of past_.
+  index_by_commodity();
   reader.expect("bid-rows");
   const std::uint64_t num_bid_rows = reader.u();
   if (reader.u() != bids_.row_length())

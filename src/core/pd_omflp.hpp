@@ -90,6 +90,7 @@ struct PdOptions {
 /// One (request, commodity) dual variable after its freeze, exported for
 /// the dual-feasibility checker (Lemmas 14/16) and the Corollary 8 test.
 struct PdDualRecord {
+  RequestId id = 0;  // the request's arrival id
   PointId location = 0;
   std::vector<CommodityId> commodities;  // s_r in increasing order
   std::vector<double> duals;             // a_re, aligned with commodities
@@ -109,11 +110,17 @@ class PdOmflp final : public OnlineAlgorithm {
   /// trace-identical.
   void depart(RequestId id, const Request& request,
               SolutionLedger& ledger) override;
+  /// Under kRollback, drops every departed slot from past_ and rebuilds
+  /// by_commodity_. A rolled-back slot has zero duals, so no bid row,
+  /// decision, contributor list or dual total ever depended on it:
+  /// compaction changes nothing but memory and the scans it saves.
+  /// Under kFrozen the departed bids are sunk investment and stay.
+  void compact_departed() override;
 
-  /// Checkpoint: the facility indexes, every archived request's frozen
-  /// duals and maintained distances, the incremental bid rows (bitwise —
-  /// recomputing them on restore would only agree to audit tolerance,
-  /// not bit-for-bit), the dual total and an options guard. Everything
+  /// Checkpoint: the facility indexes, every resident request's id,
+  /// frozen duals and maintained distances, the incremental bid rows
+  /// (bitwise — recomputing them on restore would only agree to audit
+  /// tolerance, not bit-for-bit), the dual total and an options guard. Everything
   /// that is a pure function of those is rebuilt on restore instead:
   /// by_commodity_, each request's dual_sum_large (summed in slot order
   /// exactly as archive_request does) and, lazily, the cost rows.
@@ -126,20 +133,22 @@ class PdOmflp final : public OnlineAlgorithm {
   double total_dual() const noexcept { return total_dual_; }
 
   /// Deep self-check of the algorithm's internal state (test hook):
-  /// maintained nearest-facility distances against fresh scans, the
-  /// incremental bid sums against from-scratch recomputation, and the
-  /// invariants "Σ_j bids ≤ f^{{e}}_m" (constraint 3) and
+  /// maintained nearest-facility distances of live (not rolled-back)
+  /// requests against fresh scans, the incremental bid sums against
+  /// from-scratch recomputation, and the invariants
+  /// "Σ_j bids ≤ f^{{e}}_m" (constraint 3) and
   /// "Σ_j bids ≤ f^{large}_m" (constraint 4) at every point. Returns a
   /// description of the first inconsistency, or nullopt when clean.
   /// O(n·|M|·|S|); call after serve()s, not inside hot loops.
   std::optional<std::string> audit_state(double tolerance = 1e-7) const;
 
-  /// Every archived request's frozen duals, in arrival order, built by
+  /// Every resident request's frozen duals, in arrival order, built by
   /// value from the algorithm's one copy of them. Under kRollback a
-  /// departed request reports its rolled-back duals (all exactly zero),
-  /// so the duals sum to total_dual(); under kFrozen and on static runs
-  /// they are the duals as frozen at arrival. O(Σ|s_r|) per call: bind
-  /// the result once instead of calling it in a loop.
+  /// departed request that was not yet compacted away reports its
+  /// rolled-back duals (all exactly zero), so the duals sum to
+  /// total_dual(); under kFrozen and on static runs every request is
+  /// resident with its duals as frozen at arrival. O(Σ|s_r|) per call:
+  /// bind the result once instead of calling it in a loop.
   std::vector<PdDualRecord> dual_records() const;
 
   const PdOptions& options() const noexcept { return options_; }
@@ -178,6 +187,7 @@ class PdOmflp final : public OnlineAlgorithm {
 
   // ---- past-request state -------------------------------------------------
   struct PastRequest {
+    RequestId id = 0;  // stable arrival id; past_ is sorted by it
     PointId location = 0;
     std::vector<CommodityId> commodities;
     std::vector<double> duals;       // frozen a_je (zeroed by rollback)
@@ -185,12 +195,15 @@ class PdOmflp final : public OnlineAlgorithm {
     double dual_sum_large = 0.0;     // Σ a_je over non-excluded commodities
     double large_dist = kInfiniteDistance;  // d(F̂, j), maintained
     /// Departed and rolled back: duals are zero, bids withdrawn. The slot
-    /// stays resident so arrival-order indexing keeps working; the
-    /// maintained distances are still updated (cheap) so audits hold.
+    /// stays resident only until the next compact_departed(); until then
+    /// every scan skips it and its maintained distances go stale.
     bool departed = false;
   };
+  /// Resident requests in arrival order: every request on static runs
+  /// and under kFrozen, the live ones (plus departures since the last
+  /// compaction) under kRollback.
   std::vector<PastRequest> past_;
-  /// by_commodity_[e]: (request index, slot in its commodity list).
+  /// by_commodity_[e]: (index into past_, slot in its commodity list).
   std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
       by_commodity_;
 
@@ -237,6 +250,8 @@ class PdOmflp final : public OnlineAlgorithm {
   /// Distance from p to the nearest facility offering e, and the facility.
   std::pair<double, FacilityId> nearest_offering(CommodityId e,
                                                  PointId p) const;
+  /// Rebuilds by_commodity_ from past_ (slot order, so arrival order).
+  void index_by_commodity();
 
   /// Fill `out[m]` with the constraint-(3) bid sum for commodity e at every
   /// point m (past requests only), according to the bid mode.
@@ -262,7 +277,7 @@ class PdOmflp final : public OnlineAlgorithm {
 
   /// Appends the finished request to past_ / by_commodity_ and posts its
   /// contributions to the incremental bid arrays.
-  void archive_request(const Request& request,
+  void archive_request(RequestId id, const Request& request,
                        const std::vector<CommodityId>& commodities,
                        const std::vector<double>& duals);
 };

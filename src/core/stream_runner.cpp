@@ -1,5 +1,6 @@
 #include "core/stream_runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -120,35 +121,13 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
   result_.peak_resident_records = reader.u();
   result_.run_ns = reader.d();
 
-  reader.expect("active");
-  const std::uint64_t num_arrived = reader.u();
-  num_active_ = reader.u();
-  const std::uint64_t num_words = (num_arrived + 63) / 64;
-  std::vector<std::uint64_t> words;
-  words.reserve(capped_reserve(num_words));
-  for (std::uint64_t i = 0; i < num_words; ++i) words.push_back(reader.u());
-  // Every declared word was actually present, so num_arrived is bounded
-  // by the file's real size — safe to materialize the bitmap now.
-  active_.assign(num_arrived, false);
-  std::size_t popcount = 0;
-  for (std::uint64_t id = 0; id < num_arrived; ++id) {
-    if ((words[id >> 6] >> (id & 63)) & 1) {
-      active_[id] = true;
-      ++popcount;
-    }
-  }
-  if (popcount != num_active_)
-    reader.fail("active-request bitmap disagrees with the active count");
-  if (result_.arrivals != num_arrived)
-    reader.fail("arrival count disagrees with the active bitmap");
-
   reader.expect("expiries");
   const std::uint64_t num_expiries = reader.u();
   for (std::uint64_t i = 0; i < num_expiries; ++i) {
     reader.expect("expiry");
     const std::uint64_t deadline = reader.u();
     const auto id = static_cast<RequestId>(reader.u());
-    if (id >= active_.size()) reader.fail("expiry of an unknown arrival");
+    if (id >= result_.arrivals) reader.fail("expiry of an unknown arrival");
     expiries_.emplace(deadline, id);
   }
 
@@ -157,11 +136,14 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
                       session_capacities(source_, options_));
     verifier_->restore(reader);
   }
+  // The active set is the ledger's resident active records (the ledger
+  // checks them against its active count), so nothing of it is stored
+  // here; only the session's arrival count is cross-checked.
   result_.ledger.restore(reader);
-  if (result_.ledger.num_requests() != num_arrived)
+  if (result_.ledger.num_requests() != result_.arrivals)
     reader.fail("ledger request count disagrees with the arrival count");
-  if (result_.ledger.num_active_requests() != num_active_)
-    reader.fail("ledger active count disagrees with the session's");
+  if (result_.ledger.num_active_requests() > result_.peak_active)
+    reader.fail("ledger active count exceeds the session's peak");
 
   reader.expect("algo");
   if (reader.bytes() != algorithm_.name())
@@ -188,11 +170,6 @@ void StreamSession::checkpoint(CkptWriter& writer) const {
       .u(result_.peak_active)
       .u(result_.peak_resident_records)
       .d(result_.run_ns);
-  writer.line("active").u(active_.size()).u(num_active_);
-  std::vector<std::uint64_t> words((active_.size() + 63) / 64, 0);
-  for (std::size_t id = 0; id < active_.size(); ++id)
-    if (active_[id]) words[id >> 6] |= (1ULL << (id & 63));
-  for (const std::uint64_t w : words) writer.u(w);
   // Canonical form: the pending expiries sorted ascending — pop order is
   // fully determined by (deadline, id), so heap layout is irrelevant.
   auto heap = expiries_;
@@ -214,8 +191,6 @@ void StreamSession::checkpoint(CkptWriter& writer) const {
 void StreamSession::retire(RequestId id, std::uint64_t event_index) {
   SolutionLedger& ledger = result_.ledger;
   ledger.retire_request(id, event_index);
-  active_[id] = false;
-  --num_active_;
   if (verifier_) verifier_->on_retire(id, event_index, ledger);
   // The record survives until the post-batch compaction, so the
   // depart() hook may still read it.
@@ -230,7 +205,7 @@ void StreamSession::process_event(const StreamEvent& event) {
   while (!expiries_.empty() && expiries_.top().first <= clock_) {
     const auto [deadline, id] = expiries_.top();
     expiries_.pop();
-    if (!active_[id]) continue;  // departed explicitly before expiry
+    if (!ledger.is_active(id)) continue;  // departed before expiry
     emit_retire(TraceEventKind::kLeaseExpire, id, deadline);
     retire(id, deadline);
     ++result_.lease_expiries;
@@ -247,21 +222,18 @@ void StreamSession::process_event(const StreamEvent& event) {
       bad_event(clock_, "arrival demand set over the wrong universe");
     if (event.request.commodities.empty())
       bad_event(clock_, "empty demand set");
-    const RequestId id = active_.size();
-    ledger.begin_request(event.request);
+    const RequestId id = ledger.begin_request(event.request);
     algorithm_.serve(event.request, ledger);
     ledger.finish_request();
     OMFLP_PERF_COUNT(requests_served);
-    active_.push_back(true);
-    ++num_active_;
     if (event.lease > 0)
       expiries_.emplace(lease_deadline(clock_, event.lease), id);
     if (verifier_) verifier_->on_arrival(id, event.request, ledger);
     ++result_.arrivals;
   } else {
-    if (event.target >= active_.size())
+    if (event.target >= ledger.num_requests())
       bad_event(clock_, "departure of an arrival that has not happened");
-    if (!active_[event.target])
+    if (!ledger.is_active(event.target))
       bad_event(clock_, "departure of an arrival that is no longer active");
     emit_retire(TraceEventKind::kDepart, event.target, clock_);
     retire(event.target, clock_);
@@ -269,7 +241,8 @@ void StreamSession::process_event(const StreamEvent& event) {
   }
 
   ++clock_;
-  if (num_active_ > result_.peak_active) result_.peak_active = num_active_;
+  result_.peak_active =
+      std::max(result_.peak_active, ledger.num_active_requests());
   const std::size_t resident = ledger.request_records().size();
   if (resident > result_.peak_resident_records)
     result_.peak_resident_records = resident;
@@ -289,7 +262,10 @@ std::size_t StreamSession::step_batch() {
     return 0;
   }
   for (const StreamEvent& event : batch_) process_event(event);
-  if (options_.compact) result_.ledger.compact_retired_prefix();
+  if (options_.compact) {
+    result_.ledger.compact_retired();
+    algorithm_.compact_departed();
+  }
   result_.run_ns += static_cast<double>(now_ns() - start_ns);
   return pulled;
 }

@@ -13,12 +13,15 @@
 //                 followed by the algorithm's depart() hook (bid rollback
 //                 for PD/Fotakis, the frozen no-op otherwise).
 // After each batch, retired records are compacted away (opt-out via
-// `compact`), so resident *ledger* state is O(active set + batch), not
-// O(arrivals) — peak_resident_records in the stats is the measured
-// high-water mark. (The algorithm's own state is outside the runner's
-// control: greedy/RAND hold only facilities, PD archives every
-// arrival's duals.) With `verify` set, a StreamVerifier shadows the run
-// and checks every record before it can be compacted.
+// `compact`): the ledger drops every retired record and the algorithm's
+// compact_departed() hook drops what it keeps of departed requests, so
+// resident state is O(active set + batch), not O(arrivals) —
+// peak_resident_records in the stats is the measured high-water mark.
+// (Greedy/RAND hold only facilities; PD under rollback keeps duals for
+// live requests only. FotakisOfl and the per-commodity adapter still
+// keep per-arrival state.) The ledger's resident active records are the
+// session's active set. With `verify` set, a StreamVerifier shadows the
+// run and checks every record before it can be compacted.
 //
 // StreamSession is the resumable core: one step_batch() call pulls and
 // processes exactly one batch, so a driver may interleave many sessions —
@@ -51,7 +54,8 @@ struct StreamRunOptions {
   ConnectionChargePolicy policy = ConnectionChargePolicy::kPerFacility;
   /// Events pulled from the source per batch (and compaction cadence).
   std::size_t batch_size = 8192;
-  /// Drop all-retired record prefixes after each batch (bounded memory).
+  /// Drop retired ledger records and the algorithm's departed-request
+  /// state after each batch (bounded memory).
   bool compact = true;
   /// Shadow the run with an incremental StreamVerifier; the first
   /// violation is reported in StreamRunResult::violation.
@@ -77,7 +81,7 @@ struct StreamRunResult {
   /// High-water mark of simultaneously active requests.
   std::size_t peak_active = 0;
   /// High-water mark of resident ledger records (the bounded-memory
-  /// evidence: stays near peak_active + batch_size when compacting).
+  /// evidence: at most peak_active + batch_size when compacting).
   std::size_t peak_resident_records = 0;
   /// Wall time spent inside step_batch() (excluding source construction
   /// and any scheduling gaps between batches).
@@ -144,8 +148,9 @@ class StreamSession {
   StreamRunResult finish();
 
   /// Serializes the complete between-batches state — the stream clock,
-  /// active set, pending lease expiries, result statistics, verifier,
-  /// ledger and the algorithm's own state — in canonical form (a
+  /// pending lease expiries, result statistics, verifier, ledger (whose
+  /// resident active records are the active set) and the algorithm's
+  /// own state — in canonical form (a
   /// checkpoint of a restored session is byte-identical to the one it
   /// was restored from). Call between step_batch() calls, before
   /// finish(). run_ns is serialized for continuity of the stats but is
@@ -169,8 +174,6 @@ class StreamSession {
   using Expiry = std::pair<std::uint64_t, RequestId>;
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
       expiries_;
-  std::vector<bool> active_;  // by arrival id
-  std::size_t num_active_ = 0;
 
   std::vector<StreamEvent> batch_;
   std::uint64_t clock_ = 0;

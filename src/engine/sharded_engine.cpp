@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -86,7 +85,7 @@ EngineResult ShardedEngine::run() const {
   struct TenantState {
     MaterializedEventSource source;
     std::unique_ptr<OnlineAlgorithm> algorithm;
-    std::ifstream ckpt_in;            // open only while restoring
+    std::optional<std::istringstream> ckpt_in;  // only while restoring
     std::optional<CkptReader> reader;
     StreamSession session;
 
@@ -97,29 +96,36 @@ EngineResult ShardedEngine::run() const {
           algorithm(std::move(algo)),
           session(*algorithm, source, options) {}
 
+    /// Restores from a payload the store has already read and
+    /// checksum-validated; the bytes are parsed in place.
     TenantState(const EventStream& stream,
                 std::unique_ptr<OnlineAlgorithm> algo,
-                const StreamRunOptions& options,
-                const std::string& ckpt_path)
+                const StreamRunOptions& options, std::string&& payload)
         : source(stream),
           algorithm(std::move(algo)),
-          ckpt_in(ckpt_path, std::ios::binary),
-          reader(std::in_place, ckpt_in),
+          ckpt_in(std::in_place, std::move(payload)),
+          reader(std::in_place, *ckpt_in),
           session(*algorithm, source, options, *reader) {
       reader->finish();
       reader.reset();
-      ckpt_in.close();
+      ckpt_in.reset();
     }
   };
 
   // Recovery: with a checkpoint directory configured, resume from the
   // newest generation whose manifest and every tenant file validate —
-  // torn or corrupted generations fall back to the previous one.
+  // torn or corrupted generations fall back to the previous one. Each
+  // tenant file is read once: the bytes validated here are the bytes
+  // parsed below.
   std::optional<CheckpointStore> store;
   std::optional<CheckpointManifest> restored;
+  std::vector<std::string> payloads;
   if (!options_.checkpoint_dir.empty()) {
     store.emplace(options_.checkpoint_dir);
-    restored = store->latest_valid();
+    if (std::optional<LoadedGeneration> loaded = store->load_latest_valid()) {
+      restored = std::move(loaded->manifest);
+      payloads = std::move(loaded->payloads);
+    }
     if (restored) {
       if (restored->tenants.size() != num_tenants)
         throw std::invalid_argument(
@@ -134,26 +140,48 @@ EngineResult ShardedEngine::run() const {
     }
   }
 
+  // Bytes of each tenant's newest checkpoint (restored or published):
+  // the numerator of the bytes-per-live-request gauge.
+  std::vector<std::uint64_t> checkpoint_bytes(num_tenants, 0);
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    checkpoint_bytes[i] = payloads[i].size();
+
+  // Tenant states are built on the engine's threads, one slot each:
+  // construction touches only the tenant's own stream, algorithm and
+  // payload, and emits no trace event. What it counts (the verifier's
+  // construction) goes to a per-tenant sink merged into the caller's
+  // afterwards, so totals equal a build on the calling thread.
   const AlgorithmRegistry& algorithms = default_algorithm_registry();
-  std::vector<std::unique_ptr<TenantState>> states;
-  states.reserve(num_tenants);
-  for (std::size_t i = 0; i < num_tenants; ++i) {
-    auto algorithm = algorithms.make(specs_[i].algorithm,
-                                     derive_algorithm_seed(specs_[i].seed));
-    // A uniform engine-level capacity is sized to each tenant's own
-    // metric (tenants need not share one) and overrides the scenario's.
-    StreamRunOptions tenant_options = run_options;
-    if (options_.capacity > 0)
-      tenant_options.capacities =
-          std::make_shared<const std::vector<std::uint64_t>>(
-              streams_[i].metric().num_points(), options_.capacity);
-    states.push_back(
-        restored ? std::make_unique<TenantState>(
-                       streams_[i], std::move(algorithm), tenant_options,
-                       store->tenant_path(i, restored->generation))
-                 : std::make_unique<TenantState>(
-                       streams_[i], std::move(algorithm), tenant_options));
-  }
+  std::vector<std::unique_ptr<TenantState>> states(num_tenants);
+  PerfCounters* const caller_sink = perf::thread_sink();
+  std::vector<PerfCounters> build_counters(
+      caller_sink != nullptr ? num_tenants : 0);
+  parallel_for(
+      num_tenants,
+      [&](std::size_t i) {
+        std::optional<PerfScope> scope;
+        if (caller_sink != nullptr) scope.emplace(build_counters[i]);
+        auto algorithm = algorithms.make(
+            specs_[i].algorithm, derive_algorithm_seed(specs_[i].seed));
+        // A uniform engine-level capacity is sized to each tenant's own
+        // metric (tenants need not share one) and overrides the
+        // scenario's.
+        StreamRunOptions tenant_options = run_options;
+        if (options_.capacity > 0)
+          tenant_options.capacities =
+              std::make_shared<const std::vector<std::uint64_t>>(
+                  streams_[i].metric().num_points(), options_.capacity);
+        states[i] =
+            restored ? std::make_unique<TenantState>(
+                           streams_[i], std::move(algorithm),
+                           tenant_options, std::move(payloads[i]))
+                     : std::make_unique<TenantState>(
+                           streams_[i], std::move(algorithm),
+                           tenant_options);
+      },
+      threads);
+  payloads.clear();
+  for (const PerfCounters& counted : build_counters) *caller_sink += counted;
 
   // Shard placement: round-robin by default (with Zipf-skewed mixes
   // shard 0 gets the hottest tenant, so load is deliberately unbalanced
@@ -276,26 +304,6 @@ EngineResult ShardedEngine::run() const {
       }
     }
 
-    if (options_.sampler != nullptr) {
-      std::vector<ShardRoundStats> stats(shards);
-      for (std::size_t s = 0; s < shards; ++s) {
-        ShardRoundStats& stat = stats[s];
-        for (const std::size_t tenant : shard_tenants[s]) {
-          const StreamSession& session = states[tenant]->session;
-          stat.events += session.events_processed();
-          const SolutionLedger& ledger = session.ledger();
-          stat.facilities_open += ledger.num_facilities();
-          stat.active_requests += ledger.num_active_requests();
-          stat.resident_records += ledger.request_records().size();
-        }
-        stat.batches = shard_batches[s];
-        stat.counters = shard_counters[s];
-        stat.latency = shard_histograms[s].get();
-      }
-      options_.sampler->on_round(result.rounds, stats,
-                                 /*final_round=*/live == 0);
-    }
-
     // Periodic checkpoint generation. Sessions are between batches, so
     // no request is in flight. The tenants are serialized on the engine's
     // threads, each into its own payload slot (checkpoint() is const,
@@ -311,7 +319,7 @@ EngineResult ShardedEngine::run() const {
       manifest.trace_seq = trace_seq;
       for (std::size_t i = 0; i < num_tenants; ++i)
         manifest.tenants.push_back(specs_[i].name);
-      std::vector<std::string> payloads(num_tenants);
+      payloads.assign(num_tenants, {});
       parallel_for(
           num_tenants,
           [&](std::size_t i) {
@@ -324,6 +332,32 @@ EngineResult ShardedEngine::run() const {
           threads);
       store->publish(manifest, payloads);
       ++result.checkpoints_published;
+      for (std::size_t i = 0; i < num_tenants; ++i)
+        checkpoint_bytes[i] = payloads[i].size();
+      payloads.clear();
+    }
+
+    // Telemetry last, so its checkpoint gauge sees this round's
+    // generation.
+    if (options_.sampler != nullptr) {
+      std::vector<ShardRoundStats> stats(shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        ShardRoundStats& stat = stats[s];
+        for (const std::size_t tenant : shard_tenants[s]) {
+          const StreamSession& session = states[tenant]->session;
+          stat.events += session.events_processed();
+          const SolutionLedger& ledger = session.ledger();
+          stat.facilities_open += ledger.num_facilities();
+          stat.active_requests += ledger.num_active_requests();
+          stat.resident_records += ledger.request_records().size();
+          stat.checkpoint_bytes += checkpoint_bytes[tenant];
+        }
+        stat.batches = shard_batches[s];
+        stat.counters = shard_counters[s];
+        stat.latency = shard_histograms[s].get();
+      }
+      options_.sampler->on_round(result.rounds, stats,
+                                 /*final_round=*/live == 0);
     }
 
     // Injected faults fire after publication, so the damage lands on the
@@ -336,6 +370,8 @@ EngineResult ShardedEngine::run() const {
   }
   result.wall_ns = static_cast<double>(now_ns() - wall_start_ns);
   result.trace_seq = trace_seq;
+  for (const std::uint64_t bytes : checkpoint_bytes)
+    result.checkpoint_bytes += bytes;
 
   for (std::size_t s = 0; s < shards; ++s)
     result.counters += shard_counters[s];

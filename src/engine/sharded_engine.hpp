@@ -154,6 +154,11 @@ struct EngineResult {
   /// including rounds replayed before a restore point (the manifest's
   /// trace_seq carries the count across restarts).
   std::uint64_t trace_seq = 0;
+  /// Bytes of every tenant's newest checkpoint file (the generation
+  /// restored or last published; manifest excluded), 0 without a
+  /// checkpoint directory. Divided by the active requests it gives the
+  /// bytes-per-live-request gauge.
+  std::uint64_t checkpoint_bytes = 0;
 
   double events_per_sec() const noexcept {
     return wall_ns > 0.0

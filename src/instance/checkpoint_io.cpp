@@ -1,5 +1,6 @@
 #include "instance/checkpoint_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <istream>
@@ -13,8 +14,10 @@ namespace omflp {
 
 namespace {
 
-constexpr const char* kHeader = "OMFLP-CKPT 2";
-constexpr std::string_view kRetiredV1Header = "OMFLP-CKPT 1";
+constexpr const char* kHeader = "OMFLP-CKPT 3";
+/// Headers of retired versions, each rejected by name.
+constexpr std::string_view kRetiredHeaders[] = {"OMFLP-CKPT 1",
+                                                "OMFLP-CKPT 2"};
 constexpr std::string_view kChecksumKey = "checksum";
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -183,9 +186,12 @@ void CkptWriter::finish() {
 
 CkptReader::CkptReader(std::istream& is) : is_(is), fnv_(kFnvOffset) {
   if (!next_raw_line()) fail("missing header");
-  if (line_ == kRetiredV1Header)
-    fail("OMFLP-CKPT v1 checkpoint; this build reads only v2 ('" +
-         std::string(kHeader) + "'), re-create the checkpoint");
+  for (const std::string_view retired : kRetiredHeaders)
+    if (line_ == retired)
+      fail("OMFLP-CKPT v" +
+           std::string(retired.substr(retired.rfind(' ') + 1)) +
+           " checkpoint; this build reads only v3 ('" + kHeader +
+           "'), re-create the checkpoint");
   if (line_ != kHeader)
     fail(std::string("bad header, expected '") + kHeader + "'");
   fnv_ = fnv_fold(fnv_, line_);
@@ -343,19 +349,28 @@ void restore_rng(CkptReader& reader, Rng& rng) {
 
 // ----------------------------------------------------------- validation ---
 
-bool checkpoint_payload_valid(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kHeader) return false;
+bool checkpoint_payload_valid(std::string_view payload) {
+  // Lines as std::getline splits them: '\n'-terminated, plus a final
+  // unterminated one when the payload does not end in '\n'.
+  std::size_t pos = 0;
+  const auto next_line = [&](std::string_view& line) {
+    if (pos >= payload.size()) return false;
+    const std::size_t end = std::min(payload.find('\n', pos), payload.size());
+    line = payload.substr(pos, end - pos);
+    pos = end + 1;
+    return true;
+  };
+  std::string_view line;
+  if (!next_line(line) || line != kHeader) return false;
   std::uint64_t fnv = fnv_fold(kFnvOffset, line);
   fnv = fnv_fold_newline(fnv);
-  while (std::getline(is, line)) {
+  while (next_line(line)) {
     if (line.rfind("checksum ", 0) == 0) {
       std::uint64_t declared = 0;
-      if (!parse_hex64(std::string_view(line).substr(9), declared))
-        return false;
+      if (!parse_hex64(line.substr(9), declared)) return false;
       if (declared != fnv) return false;
       // Nothing may follow the checksum line.
-      return !std::getline(is, line);
+      return !next_line(line);
     }
     fnv = fnv_fold(fnv, line);
     fnv = fnv_fold_newline(fnv);

@@ -1,11 +1,11 @@
-// OMFLP-CKPT v2 — the versioned, checksummed checkpoint container every
+// OMFLP-CKPT v3 — the versioned, checksummed checkpoint container every
 // fault-tolerance artifact uses (src/recover/): StreamSession snapshots,
 // the per-generation manifest, and any state a roster algorithm
 // serializes through its serialize_state/restore_state hooks.
 //
 // The format is line-oriented text:
 //
-//   OMFLP-CKPT 2
+//   OMFLP-CKPT 3
 //   <key> <token> <token> ...
 //   ...
 //   checksum <16 hex digits>
@@ -31,11 +31,16 @@
 // Canonical form: serialize → restore → serialize is byte-identical
 // (tests/test_recover.cpp pins this down per roster algorithm).
 //
-// Versions: v2 stores each request's duals once. It dropped v1's
-// PD-OMFLP dual-record and private-trace sections, the per-request
-// large-side dual sum (restore recomputes it bitwise) and FotakisOfl's
-// dual log. There is no v1 reader: a v1 header is rejected with an
-// error naming v1, and checkpoint_payload_valid() returns false for it.
+// Versions: v3 stores only live state. PD-OMFLP's past requests and the
+// ledger's request records are the resident ones, each line carrying
+// the request's stable id (compaction drops departed requests, so
+// positions no longer are ids), and the session no longer stores an
+// O(arrivals) active-request bitmap: restore derives the active set from
+// the ledger's resident records. v2 stored each request's duals once,
+// dropping v1's PD-OMFLP dual-record and private-trace sections, the
+// per-request large-side dual sum and FotakisOfl's dual log. There is no
+// reader for an older version: a v1 or v2 header is rejected with an
+// error naming it, and checkpoint_payload_valid() returns false for it.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +55,7 @@
 
 namespace omflp {
 
-/// Streaming OMFLP-CKPT v2 writer. The header is written on
+/// Streaming OMFLP-CKPT v3 writer. The header is written on
 /// construction; line(key) starts a record, the typed appenders add
 /// tokens, finish() seals the file with the checksum line.
 class CkptWriter {
@@ -93,7 +98,7 @@ class CkptWriter {
   bool finished_ = false;
 };
 
-/// Strict bounded-memory OMFLP-CKPT v2 reader. The header is validated
+/// Strict bounded-memory OMFLP-CKPT v3 reader. The header is validated
 /// on construction; expect(key) loads the next line and the typed
 /// accessors consume its tokens; finish() validates the checksum line
 /// and end of input.
@@ -146,6 +151,8 @@ void restore_rng(CkptReader& reader, Rng& rng);
 /// it. Returns false (never throws) on any malformation, IO failure or
 /// truncation — the independent check recovery uses to reject torn or
 /// corrupted snapshots and fall back to the previous generation.
-bool checkpoint_payload_valid(std::istream& is);
+/// Recovery checks the bytes it already read and then parses the same
+/// buffer.
+bool checkpoint_payload_valid(std::string_view payload);
 
 }  // namespace omflp

@@ -19,7 +19,7 @@ constexpr const char* kCsvHeader =
     "round,shard,events_delta,events_total,batches_delta,events_per_sec,"
     "latency_count,p50_ns,p95_ns,p99_ns,p999_ns,max_ns_cum,facilities_open,"
     "active_requests,resident_records,requests_served_delta,"
-    "facilities_opened_delta\n";
+    "facilities_opened_delta,bytes_per_live_request\n";
 
 }  // namespace
 
@@ -77,6 +77,11 @@ void MetricsSampler::on_round(std::uint64_t round,
     const double events_per_sec =
         interval_s > 0.0 ? static_cast<double>(events_delta) / interval_s
                          : 0.0;
+    const double bytes_per_live_request =
+        shard.active_requests > 0
+            ? static_cast<double>(shard.checkpoint_bytes) /
+                  static_cast<double>(shard.active_requests)
+            : 0.0;
 
     if (format_ == Format::kCsv) {
       out_ << round << ',' << s << ',' << events_delta << ','
@@ -86,7 +91,7 @@ void MetricsSampler::on_round(std::uint64_t round,
            << latency.p999_ns << ',' << latency.max_ns << ','
            << shard.facilities_open << ',' << shard.active_requests << ','
            << shard.resident_records << ',' << served_delta << ','
-           << opened_delta << '\n';
+           << opened_delta << ',' << bytes_per_live_request << '\n';
     } else {
       out_ << "{\"round\":" << round << ",\"shard\":" << s
            << ",\"events_delta\":" << events_delta
@@ -98,7 +103,9 @@ void MetricsSampler::on_round(std::uint64_t round,
            << ",\"active_requests\":" << shard.active_requests
            << ",\"resident_records\":" << shard.resident_records
            << ",\"requests_served_delta\":" << served_delta
-           << ",\"facilities_opened_delta\":" << opened_delta << "}\n";
+           << ",\"facilities_opened_delta\":" << opened_delta
+           << ",\"bytes_per_live_request\":" << bytes_per_live_request
+           << "}\n";
     }
   }
   out_.flush();

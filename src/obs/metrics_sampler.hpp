@@ -8,7 +8,8 @@
 // deltas: events/s since the last sample, latency percentiles of only
 // the batches in the interval (LatencyHistogram::snapshot_delta against
 // a per-shard LatencyBaseline), work-counter deltas, and the live
-// gauges (facilities open, active requests, resident ledger records).
+// gauges (facilities open, active requests, resident ledger records,
+// checkpoint bytes per live request).
 //
 // The sampler runs on the engine's calling thread between rounds — it
 // never contends with shard workers — and costs nothing when absent:
@@ -34,6 +35,10 @@ struct ShardRoundStats {
   std::size_t facilities_open = 0;
   std::size_t active_requests = 0;
   std::size_t resident_records = 0;
+  /// Bytes of the shard's tenants' newest checkpoint files (0 when the
+  /// engine has no checkpoint directory); sampled as
+  /// bytes_per_live_request = checkpoint_bytes / active_requests.
+  std::uint64_t checkpoint_bytes = 0;
   /// Cumulative work counters (all-zero when counter collection is off).
   PerfCounters counters;
   /// The shard's cumulative batch-latency histogram.

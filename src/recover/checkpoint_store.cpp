@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -69,10 +70,14 @@ std::optional<CheckpointManifest> parse_manifest(const std::string& path) {
   }
 }
 
-bool file_payload_valid(const std::string& path) {
+/// The file's bytes when it is a structurally valid OMFLP-CKPT payload.
+std::optional<std::string> read_valid_payload(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  return checkpoint_payload_valid(in);
+  if (!in) return std::nullopt;
+  std::string payload(std::istreambuf_iterator<char>(in), {});
+  if (in.bad() || !checkpoint_payload_valid(payload))
+    return std::nullopt;
+  return payload;
 }
 
 }  // namespace
@@ -123,6 +128,12 @@ void CheckpointStore::publish(const CheckpointManifest& manifest,
 }
 
 std::optional<CheckpointManifest> CheckpointStore::latest_valid() const {
+  std::optional<LoadedGeneration> loaded = load_latest_valid();
+  if (!loaded) return std::nullopt;
+  return std::move(loaded->manifest);
+}
+
+std::optional<LoadedGeneration> CheckpointStore::load_latest_valid() const {
   std::vector<std::uint64_t> generations;
   try {
     generations = list_generations();
@@ -133,14 +144,17 @@ std::optional<CheckpointManifest> CheckpointStore::latest_valid() const {
     std::optional<CheckpointManifest> manifest =
         parse_manifest(manifest_path(*it));
     if (!manifest || manifest->generation != *it) continue;
-    bool all_valid = true;
+    LoadedGeneration loaded;
     for (std::size_t i = 0; i < manifest->tenants.size(); ++i) {
-      if (!file_payload_valid(tenant_path(i, *it))) {
-        all_valid = false;
-        break;
-      }
+      std::optional<std::string> payload =
+          read_valid_payload(tenant_path(i, *it));
+      if (!payload) break;
+      loaded.payloads.push_back(std::move(*payload));
     }
-    if (all_valid) return manifest;
+    if (loaded.payloads.size() == manifest->tenants.size()) {
+      loaded.manifest = std::move(*manifest);
+      return loaded;
+    }
   }
   return std::nullopt;
 }

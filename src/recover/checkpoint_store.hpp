@@ -40,6 +40,13 @@ struct CheckpointManifest {
   std::vector<std::string> tenants;
 };
 
+/// One generation as restore needs it: the manifest and every tenant
+/// file's bytes, each read once and already checksum-validated.
+struct LoadedGeneration {
+  CheckpointManifest manifest;
+  std::vector<std::string> payloads;  // tenant i's OMFLP-CKPT text
+};
+
 class CheckpointStore {
  public:
   /// Creates `dir` (and parents) if missing.
@@ -63,6 +70,9 @@ class CheckpointStore {
   /// valid ones. nullopt when no valid generation exists (fresh
   /// start). Never throws.
   std::optional<CheckpointManifest> latest_valid() const;
+  /// The same scan, keeping the bytes it validated so restore parses
+  /// them without reading any file a second time.
+  std::optional<LoadedGeneration> load_latest_valid() const;
 
   /// Removes every generation except the `keep` newest among
   /// `generations` (ascending). Missing files are ignored.

@@ -6,6 +6,7 @@
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
+#include "support/request_index.hpp"
 
 namespace omflp {
 
@@ -38,10 +39,11 @@ RequestId SolutionLedger::begin_request(const Request& request) {
   OMFLP_REQUIRE(!request.commodities.empty(),
                 "SolutionLedger: empty demand set");
   RequestRecord record;
+  record.id = num_requests_++;
   record.request = request;
   requests_.push_back(std::move(record));
   in_flight_ = true;
-  return num_requests() - 1;
+  return requests_.back().id;
 }
 
 FacilityId SolutionLedger::open_facility(PointId location,
@@ -232,11 +234,12 @@ void SolutionLedger::retire_request(RequestId id,
                                     std::uint64_t event_index) {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger: retirements happen between requests");
-  OMFLP_REQUIRE(id >= first_record_id_ && id < num_requests(),
+  const std::size_t index = index_of_request(requests_, id);
+  OMFLP_REQUIRE(index < requests_.size(),
                 "SolutionLedger: retiring an unknown or compacted request");
   OMFLP_REQUIRE(event_index != kNeverRetired,
                 "SolutionLedger: reserved retirement event index");
-  RequestRecord& record = requests_[id - first_record_id_];
+  RequestRecord& record = requests_[index];
   OMFLP_REQUIRE(record.active(),
                 "SolutionLedger: request retired twice");
   record.retired_at = event_index;
@@ -250,22 +253,24 @@ void SolutionLedger::retire_request(RequestId id,
   }
 }
 
-std::size_t SolutionLedger::compact_retired_prefix() {
+std::size_t SolutionLedger::compact_retired() {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger: compaction happens between requests");
-  std::size_t drop = 0;
-  while (drop < requests_.size() && !requests_[drop].active()) ++drop;
-  if (drop == 0) return 0;
-  requests_.erase(requests_.begin(),
-                  requests_.begin() + static_cast<std::ptrdiff_t>(drop));
-  first_record_id_ += drop;
-  return drop;
+  return std::erase_if(requests_, [](const RequestRecord& r) {
+    return !r.active();
+  });
 }
 
 const RequestRecord& SolutionLedger::request_record(RequestId id) const {
-  OMFLP_REQUIRE(id >= first_record_id_ && id < num_requests(),
+  const std::size_t index = index_of_request(requests_, id);
+  OMFLP_REQUIRE(index < requests_.size(),
                 "SolutionLedger: unknown or compacted request record");
-  return requests_[id - first_record_id_];
+  return requests_[index];
+}
+
+bool SolutionLedger::is_active(RequestId id) const {
+  const std::size_t index = index_of_request(requests_, id);
+  return index < requests_.size() && requests_[index].active();
 }
 
 const OpenFacilityRecord& SolutionLedger::facility(FacilityId f) const {
@@ -286,7 +291,7 @@ std::uint64_t SolutionLedger::occupancy(FacilityId f) const {
 void SolutionLedger::serialize(CkptWriter& writer) const {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger::serialize: request in flight");
-  writer.line("ledger").u(first_record_id_).u(requests_.size()).u(
+  writer.line("ledger").u(num_requests_).u(requests_.size()).u(
       facilities_.size());
   writer.line("ledger-costs")
       .d(opening_cost_)
@@ -306,6 +311,7 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
   }
   for (const RequestRecord& r : requests_) {
     writer.line("request")
+        .u(r.id)
         .u(r.request.location)
         .set(r.request.commodities)
         .u(r.retired_at)
@@ -324,7 +330,7 @@ void SolutionLedger::restore(CkptReader& reader) {
   OMFLP_REQUIRE(facilities_.empty() && requests_.empty() && !in_flight_,
                 "SolutionLedger::restore: ledger not fresh");
   reader.expect("ledger");
-  first_record_id_ = reader.u();
+  num_requests_ = reader.u();
   const std::uint64_t num_resident = reader.u();
   const std::uint64_t num_facilities = reader.u();
   reader.expect("ledger-costs");
@@ -358,6 +364,10 @@ void SolutionLedger::restore(CkptReader& reader) {
   for (std::uint64_t i = 0; i < num_resident; ++i) {
     reader.expect("request");
     RequestRecord r;
+    r.id = reader.u();
+    if ((!requests_.empty() && r.id <= requests_.back().id) ||
+        r.id >= num_requests_)
+      reader.fail("request ids out of order or beyond the request count");
     r.request.location = static_cast<PointId>(reader.u());
     if (r.request.location >= metric_->num_points())
       reader.fail("request location outside the metric");
@@ -398,13 +408,18 @@ void SolutionLedger::restore(CkptReader& reader) {
     requests_.push_back(std::move(r));
   }
   // Occupancy is derived state: every active record is resident
-  // (compaction only drops all-retired prefixes), so the per-facility
-  // occupancy counts are recomputed rather than serialized.
+  // (compaction only drops retired records), so the per-facility
+  // occupancy counts are recomputed rather than serialized — and the
+  // active records must account for the active count exactly.
   occupancy_.assign(facilities_.size(), 0);
+  std::size_t active = 0;
   for (const RequestRecord& r : requests_) {
     if (!r.active()) continue;
+    ++active;
     for (const FacilityId f : r.connected) ++occupancy_[f];
   }
+  if (active != num_active_)
+    reader.fail("resident active records disagree with the active count");
 }
 
 }  // namespace omflp

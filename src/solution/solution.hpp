@@ -21,9 +21,10 @@
 // what competitive ratios against the offline optimum on the *surviving*
 // request set are measured on; total_cost() remains the gross cost of
 // everything the algorithm ever did. For bounded-memory stream
-// processing, compact_retired_prefix() drops the longest all-retired
-// prefix of the records; first_record_id() reports how far compaction has
-// advanced (always 0 for static runs).
+// processing, compact_retired() drops every retired record: the resident
+// records stay in arrival order, each keyed by its stable RequestId, so
+// resident state is O(active set), not O(arrivals). Static runs never
+// retire, so their records stay dense (record i is request i).
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,8 @@ struct ServedCommodity {
 inline constexpr std::uint64_t kNeverRetired = ~std::uint64_t{0};
 
 struct RequestRecord {
+  /// Stable arrival id (the value begin_request returned).
+  RequestId id = 0;
   Request request;
   std::vector<ServedCommodity> served;   // one entry per served commodity
   /// Demanded commodities shed by admission control (capacitated runs
@@ -124,20 +127,19 @@ class SolutionLedger {
   /// id. Gross totals (connection_cost, total_cost) are unchanged.
   void retire_request(RequestId id, std::uint64_t event_index);
 
-  /// Bounded-memory hook for the stream runner: drops the longest
-  /// all-retired prefix of the request records and returns how many were
-  /// dropped. Aggregate costs and counts are preserved; records of
-  /// still-active (and later) requests stay resident and keep their ids —
-  /// request `id` lives at request_records()[id - first_record_id()].
-  /// Requires no request in flight.
-  std::size_t compact_retired_prefix();
+  /// Bounded-memory hook for the stream runner: drops every retired
+  /// record and returns how many were dropped. Aggregate costs and counts
+  /// are preserved; every active record stays resident, in arrival order,
+  /// under its own id. Requires no request in flight.
+  std::size_t compact_retired();
 
-  /// Id of request_records()[0]; 0 unless compact_retired_prefix() ran.
-  RequestId first_record_id() const noexcept { return first_record_id_; }
-
-  /// Record of request `id`; requires first_record_id() <= id <
-  /// num_requests() (i.e. the record has not been compacted away).
+  /// Record of request `id` (looked up among the resident records);
+  /// requires a resident id — one that was begun and not compacted away.
   const RequestRecord& request_record(RequestId id) const;
+
+  /// True when request `id` is resident and has not retired. Every
+  /// active request is resident, so this is the stream's active set.
+  bool is_active(RequestId id) const;
 
   /// Connection cost of the still-active requests only.
   double active_connection_cost() const noexcept {
@@ -156,14 +158,14 @@ class SolutionLedger {
   // ---- introspection ------------------------------------------------------
 
   /// Total requests ever begun, including compacted ones.
-  std::size_t num_requests() const noexcept {
-    return first_record_id_ + requests_.size();
-  }
+  std::size_t num_requests() const noexcept { return num_requests_; }
   std::size_t num_facilities() const noexcept { return facilities_.size(); }
   const std::vector<OpenFacilityRecord>& facilities() const noexcept {
     return facilities_;
   }
-  /// The resident records: request first_record_id() onward.
+  /// The resident records in arrival order (ascending ids). Dense —
+  /// request_records()[i].id == i — exactly when size() ==
+  /// num_requests(), i.e. nothing was compacted away.
   const std::vector<RequestRecord>& request_records() const noexcept {
     return requests_;
   }
@@ -235,8 +237,8 @@ class SolutionLedger {
   /// facilities_. Maintained unconditionally (cheap), enforced only when
   /// capacitated_.
   std::vector<std::uint64_t> occupancy_;
-  std::vector<RequestRecord> requests_;
-  RequestId first_record_id_ = 0;  // ids below this were compacted away
+  std::vector<RequestRecord> requests_;  // resident, ascending ids
+  std::size_t num_requests_ = 0;         // begun, including compacted
   bool in_flight_ = false;
 
   double opening_cost_ = 0.0;

@@ -60,7 +60,6 @@ void expect_bitwise_identical(const StreamRunResult& actual,
   EXPECT_EQ(a.active_cost(), b.active_cost());
   EXPECT_EQ(a.num_requests(), b.num_requests());
   EXPECT_EQ(a.num_active_requests(), b.num_active_requests());
-  EXPECT_EQ(a.first_record_id(), b.first_record_id());
 
   ASSERT_EQ(a.num_facilities(), b.num_facilities());
   for (std::size_t f = 0; f < a.num_facilities(); ++f) {
@@ -76,6 +75,7 @@ void expect_bitwise_identical(const StreamRunResult& actual,
   for (std::size_t r = 0; r < a.request_records().size(); ++r) {
     const RequestRecord& ra = a.request_records()[r];
     const RequestRecord& rb = b.request_records()[r];
+    EXPECT_EQ(ra.id, rb.id);
     EXPECT_EQ(ra.connection_cost, rb.connection_cost);
     EXPECT_EQ(ra.retired_at, rb.retired_at);
   }
@@ -353,6 +353,33 @@ TEST(ShardedEngine, AggregatesAndStatsAreConsistent) {
                 arrivals += tenant.run.arrivals;
               return arrivals;
             }());
+  // What the engine counted on the caller (building the tenants, on the
+  // engine's threads) plus on its shards adds up to sequential runs.
+  PerfCounters sequential;
+  {
+    PerfScope scope(sequential);
+    for (const TenantSpec& spec : specs) {
+      const EventStream stream = default_stream_scenario_registry().make(
+          spec.scenario, spec.seed, spec.overrides);
+      const auto algorithm = default_algorithm_registry().make(
+          spec.algorithm, derive_algorithm_seed(spec.seed));
+      StreamRunOptions run_options;
+      run_options.batch_size = options.batch_size;
+      run_options.verify = options.verify;
+      (void)run_stream(*algorithm, stream, run_options);
+    }
+  }
+  PerfCounters engine_total = outer;
+  engine_total += result.counters;
+  PerfCounters::for_each_field(
+      sequential, [&](const char* name, std::uint64_t& expected) {
+        std::uint64_t actual = 0;
+        PerfCounters::for_each_field(
+            engine_total, [&](const char* other, std::uint64_t& value) {
+              if (std::string(other) == name) actual = value;
+            });
+        EXPECT_EQ(actual, expected) << name;
+      });
   // Without an outer sink the engine must not count at all.
   const EngineResult uncounted = engine.run();
   EXPECT_TRUE(uncounted.counters.all_zero());

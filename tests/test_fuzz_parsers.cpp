@@ -397,8 +397,7 @@ std::string valid_checkpoint() {
 ParseOutcome feed_checkpoint_readers(const std::string& text) {
   ParseOutcome outcome = ParseOutcome::kAccepted;
   {
-    std::istringstream is(text);
-    if (!checkpoint_payload_valid(is)) outcome = ParseOutcome::kRejected;
+    if (!checkpoint_payload_valid(text)) outcome = ParseOutcome::kRejected;
   }
   try {
     PdOmflp pd;
@@ -452,10 +451,10 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
   std::vector<std::string> lines = split_lines(base);
   ASSERT_GE(lines.size(), 3u);
 
-  // Version bump: an OMFLP-CKPT 3 file is from the future, not ours.
+  // Version bump: an OMFLP-CKPT 4 file is from the future, not ours.
   {
     std::vector<std::string> t = lines;
-    t[0] = "OMFLP-CKPT 3";
+    t[0] = "OMFLP-CKPT 4";
     EXPECT_EQ(feed_checkpoint_readers(resealed(join_lines(t))),
               ParseOutcome::kRejected);
   }
@@ -480,8 +479,7 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
     std::vector<std::string> t = lines;
     std::swap(t[1], t[2]);
     const std::string mutant = resealed(join_lines(t));
-    std::istringstream is(mutant);
-    EXPECT_TRUE(checkpoint_payload_valid(is));
+    EXPECT_TRUE(checkpoint_payload_valid(mutant));
     EXPECT_EQ(feed_checkpoint_readers(mutant), ParseOutcome::kRejected);
   }
 }
@@ -495,9 +493,8 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   // unconstrained ids and values; a huge *id* is legal, a huge *count*
   // must fail against the lines actually present.)
   const std::set<std::string> count_keys = {
-      "active", "larges",         "expiries", "past",
-      "bid-rows", "offering-index", "ledger",   "seen",
-      "verifier-active"};
+      "larges",   "expiries",       "past",   "bid-rows",
+      "offering-index", "ledger",   "seen",   "verifier-active"};
 
   // Re-seal each tampered payload so the hostile count is reached with
   // a passing checksum: the declared count must then fail at parse

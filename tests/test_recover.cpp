@@ -1,4 +1,4 @@
-// Fault-tolerance tests: the OMFLP-CKPT v2 container, per-algorithm
+// Fault-tolerance tests: the OMFLP-CKPT v3 container, per-algorithm
 // session checkpoint/restore (crash → restore → drain must be bitwise
 // identical to an uninterrupted run, for every roster algorithm), the
 // checkpoint store's generation fallback, deterministic fault injection,
@@ -21,6 +21,9 @@
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
 #include "instance/checkpoint_io.hpp"
+#include "instance/tracelog_io.hpp"
+#include "obs/metrics_sampler.hpp"
+#include "obs/trace_sink.hpp"
 #include "recover/checkpoint_store.hpp"
 #include "recover/fault_plan.hpp"
 #include "scenario/algorithm_registry.hpp"
@@ -98,7 +101,6 @@ void expect_results_identical(const StreamRunResult& a,
   EXPECT_EQ(a.ledger.active_cost(), b.ledger.active_cost());
   EXPECT_EQ(a.ledger.num_requests(), b.ledger.num_requests());
   EXPECT_EQ(a.ledger.num_active_requests(), b.ledger.num_active_requests());
-  EXPECT_EQ(a.ledger.first_record_id(), b.ledger.first_record_id());
   ASSERT_EQ(a.ledger.num_facilities(), b.ledger.num_facilities());
   for (std::size_t f = 0; f < a.ledger.num_facilities(); ++f) {
     const OpenFacilityRecord& fa = a.ledger.facilities()[f];
@@ -113,6 +115,7 @@ void expect_results_identical(const StreamRunResult& a,
   for (std::size_t r = 0; r < a.ledger.request_records().size(); ++r) {
     const RequestRecord& ra = a.ledger.request_records()[r];
     const RequestRecord& rb = b.ledger.request_records()[r];
+    EXPECT_EQ(ra.id, rb.id);
     EXPECT_EQ(ra.connection_cost, rb.connection_cost);
     EXPECT_EQ(ra.retired_at, rb.retired_at);
     EXPECT_EQ(ra.connected, rb.connected);
@@ -173,14 +176,12 @@ TEST(CheckpointIo, RejectsTamperingTruncationAndBadHeader) {
   }
   const std::string good = os.str();
   {  // pristine file validates
-    std::istringstream is(good);
-    EXPECT_TRUE(checkpoint_payload_valid(is));
+    EXPECT_TRUE(checkpoint_payload_valid(good));
   }
   {  // bit flip in the payload
     std::string bad = good;
     bad[bad.find("42")] = '9';
-    std::istringstream is(bad);
-    EXPECT_FALSE(checkpoint_payload_valid(is));
+    EXPECT_FALSE(checkpoint_payload_valid(bad));
     std::istringstream is2(bad);
     CkptReader r(is2);
     r.expect("payload");
@@ -190,18 +191,15 @@ TEST(CheckpointIo, RejectsTamperingTruncationAndBadHeader) {
   }
   {  // truncation: drop the checksum line (a torn write)
     const std::string torn = good.substr(0, good.find("checksum"));
-    std::istringstream is(torn);
-    EXPECT_FALSE(checkpoint_payload_valid(is));
+    EXPECT_FALSE(checkpoint_payload_valid(torn));
   }
   {  // trailing content after the checksum
-    std::istringstream is(good + "extra\n");
-    EXPECT_FALSE(checkpoint_payload_valid(is));
+    EXPECT_FALSE(checkpoint_payload_valid(good + "extra\n"));
   }
   {  // wrong version header
     std::string bad = good;
-    bad.replace(0, 12, "OMFLP-CKPT 3");
-    std::istringstream is(bad);
-    EXPECT_FALSE(checkpoint_payload_valid(is));
+    bad.replace(0, 12, "OMFLP-CKPT 4");
+    EXPECT_FALSE(checkpoint_payload_valid(bad));
     std::istringstream is2(bad);
     EXPECT_THROW(CkptReader r(is2), std::invalid_argument);
   }
@@ -215,16 +213,37 @@ TEST(CheckpointIo, RetiredV1HeaderIsRejectedByName) {
     w.finish();
   }
   std::string v1 = os.str();
-  ASSERT_EQ(v1.rfind("OMFLP-CKPT 2\n", 0), 0u);
+  ASSERT_EQ(v1.rfind("OMFLP-CKPT 3\n", 0), 0u);
   v1.replace(0, 12, "OMFLP-CKPT 1");
-  std::istringstream is(v1);
-  EXPECT_FALSE(checkpoint_payload_valid(is));
+  EXPECT_FALSE(checkpoint_payload_valid(v1));
   std::istringstream is2(v1);
   try {
     CkptReader r(is2);
     ADD_FAILURE() << "a v1 header was accepted";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("OMFLP-CKPT v1"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CheckpointIo, RetiredV2HeaderIsRejectedByName) {
+  std::ostringstream os;
+  {
+    CkptWriter w(os);
+    w.line("payload").u(42);
+    w.finish();
+  }
+  std::string v2 = os.str();
+  ASSERT_EQ(v2.rfind("OMFLP-CKPT 3\n", 0), 0u);
+  v2.replace(0, 12, "OMFLP-CKPT 2");
+  EXPECT_FALSE(checkpoint_payload_valid(v2));
+  std::istringstream is2(v2);
+  try {
+    CkptReader r(is2);
+    ADD_FAILURE() << "a v2 header was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("OMFLP-CKPT v2"),
               std::string::npos)
         << error.what();
   }
@@ -268,8 +287,7 @@ TEST(CheckpointIo, ChecksumKeyIsReserved) {
   // and validates.
   writer.line("checksums").u(2);
   writer.finish();
-  std::istringstream valid(os.str());
-  EXPECT_TRUE(checkpoint_payload_valid(valid));
+  EXPECT_TRUE(checkpoint_payload_valid(os.str()));
   std::istringstream is(os.str());
   CkptReader reader(is);
   reader.expect("key");
@@ -332,6 +350,60 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
     EXPECT_TRUE(algorithm_state(*algorithm) == algorithm_state(*ref_algorithm))
         << "drained algorithm state differs";
   }
+}
+
+// A v3 snapshot taken mid-stream, after compaction has dropped departed
+// PD slots and retired ledger records, restores into a session whose
+// remaining decision trace is byte-identical to the uninterrupted run's.
+TEST(SessionRecovery, CompactedPdRestoreContinuesTracelogBitwise) {
+  const EventStream stream = default_stream_scenario_registry().make(
+      "lease-poisson", /*seed=*/5,
+      {{"events", 1500}, {"points", 24}, {"commodities", 4},
+       {"mean_lease", 48}});
+  const StreamRunOptions options = test_options();
+  const auto drain_traced = [](StreamSession& session) {
+    std::ostringstream os;
+    TraceLogWriter writer(os);
+    {
+      TraceScope scope(writer);
+      while (session.step_batch() != 0) {
+      }
+    }
+    writer.finish();
+    return os.str();
+  };
+
+  PdOmflp reference_pd;
+  MaterializedEventSource reference_source(stream);
+  StreamSession reference_session(reference_pd, reference_source, options);
+  for (int i = 0; i < 6; ++i) (void)reference_session.step_batch();
+  std::ostringstream snapshot;
+  {
+    CkptWriter writer(snapshot);
+    reference_session.checkpoint(writer);
+    writer.finish();
+  }
+  const SolutionLedger& mid = reference_session.ledger();
+  ASSERT_LT(reference_pd.dual_records().size(), mid.num_requests())
+      << "no departed PD slot was compacted before the snapshot";
+  ASSERT_LT(mid.request_records().size(), mid.num_requests());
+  const std::string reference_tail = drain_traced(reference_session);
+  const StreamRunResult reference = reference_session.finish();
+
+  PdOmflp pd;
+  MaterializedEventSource source(stream);
+  std::istringstream is(snapshot.str());
+  CkptReader reader(is);
+  StreamSession session(pd, source, options, reader);
+  reader.finish();
+  const std::string tail = drain_traced(session);
+  const StreamRunResult restored = session.finish();
+
+  EXPECT_GT(tail.size(), 1000u);
+  EXPECT_TRUE(tail == reference_tail) << "post-restore tracelog differs";
+  expect_results_identical(restored, reference, "restored vs reference");
+  EXPECT_EQ(pd.total_dual(), reference_pd.total_dual());
+  EXPECT_TRUE(algorithm_state(pd) == algorithm_state(reference_pd));
 }
 
 // serialize → restore → serialize is byte-identical (the canonical-form
@@ -795,6 +867,48 @@ TEST(EngineRecovery, CheckpointFilesIndependentOfThreadCount) {
     }
   }
   EXPECT_EQ(tenant_files, 2 * specs.size()) << "two generations kept";
+}
+
+// The bytes-per-live-request gauge: EngineResult::checkpoint_bytes is
+// the newest generation's tenant files (published, or restored when the
+// run only restores), and every sampler row divides its shard's share
+// by the shard's active requests.
+TEST(EngineRecovery, CheckpointBytesGaugeTracksNewestGeneration) {
+  const std::vector<TenantSpec> specs = engine_tenants("pd");
+  ScratchDir dir("gauge");
+  std::ostringstream csv;
+  MetricsSampler sampler(csv, MetricsSampler::Format::kCsv);
+  EngineOptions options;
+  options.batch_size = 256;
+  options.shards = 2;
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 1;
+  options.sampler = &sampler;
+  const EngineResult published = ShardedEngine(specs, options).run();
+
+  CheckpointStore store(dir.str());
+  const auto manifest = store.latest_valid();
+  ASSERT_TRUE(manifest.has_value());
+  std::uint64_t newest = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    newest += std::filesystem::file_size(
+        store.tenant_path(i, manifest->generation));
+  EXPECT_EQ(published.checkpoint_bytes, newest);
+
+  std::istringstream rows(csv.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(rows, line));
+  ASSERT_EQ(line.substr(line.rfind(',') + 1), "bytes_per_live_request");
+  std::size_t positive = 0;
+  while (std::getline(rows, line))
+    if (std::stod(line.substr(line.rfind(',') + 1)) > 0.0) ++positive;
+  EXPECT_GT(positive, 0u);
+
+  EngineOptions restore_only = options;
+  restore_only.checkpoint_every = 0;
+  restore_only.sampler = nullptr;
+  const EngineResult restored = ShardedEngine(specs, restore_only).run();
+  EXPECT_EQ(restored.checkpoint_bytes, newest);
 }
 
 TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {

@@ -16,10 +16,13 @@
 #include "core/rand_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "cost/cost_models.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "instance/event_stream.hpp"
 #include "instance/stream_io.hpp"
+#include "instance/tracelog_io.hpp"
 #include "kernel/kernels.hpp"
 #include "metric/line_metric.hpp"
+#include "obs/trace_sink.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
 
@@ -203,6 +206,7 @@ TEST(StreamRunner, ConnectionCostLeavesActiveTallyOnDeparture) {
   NearestOrOpen algorithm;
   StreamRunOptions options;
   options.verify = true;
+  options.compact = false;  // verify_stream needs every record resident
   const StreamRunResult result = run_stream(algorithm, stream, options);
   EXPECT_FALSE(result.violation.has_value());
   const SolutionLedger& ledger = result.ledger;
@@ -237,6 +241,42 @@ TEST(StreamVerifier, CatchesActiveIntervalTampering) {
   const auto violation = verify_stream(stream, ledger);
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->what.find("active interval"), std::string::npos);
+}
+
+// Offline verification needs dense records. A ledger whose request 0 is
+// still live but whose middle request was retired and compacted away
+// must be refused, not misread (record 1 would be request 2).
+TEST(StreamVerifier, OfflineVerifierRefusesLedgerWithCompactedMiddle) {
+  SmallWorld w;
+  std::vector<StreamEvent> events;
+  events.push_back(StreamEvent::arrival(make_request(2, 0, {0})));  // id 0
+  events.push_back(StreamEvent::arrival(make_request(2, 3, {1})));  // id 1
+  events.push_back(StreamEvent::arrival(make_request(2, 6, {0})));  // id 2
+  events.push_back(StreamEvent::departure(1));
+  const EventStream stream(w.metric, w.cost, events, "middle");
+  stream.validate();
+
+  NearestOrOpen algorithm;
+  StreamRunOptions options;
+  options.verify = true;
+  const StreamRunResult compacted = run_stream(algorithm, stream, options);
+  EXPECT_FALSE(compacted.violation.has_value());
+  const SolutionLedger& ledger = compacted.ledger;
+  ASSERT_EQ(ledger.num_requests(), 3u);
+  ASSERT_EQ(ledger.request_records().size(), 2u);
+  EXPECT_TRUE(ledger.request_record(0).active());
+  EXPECT_EQ(ledger.request_records()[1].id, 2u);
+  EXPECT_FALSE(ledger.is_active(1));
+  const auto error = verify_stream(stream, ledger);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->what.find("compacted ledger"), std::string::npos)
+      << error->what;
+
+  options.compact = false;
+  NearestOrOpen uncompacted_algorithm;
+  const StreamRunResult dense =
+      run_stream(uncompacted_algorithm, stream, options);
+  EXPECT_FALSE(verify_stream(stream, dense.ledger).has_value());
 }
 
 TEST(StreamVerifier, RejectsHandTamperedOverCapacityLedger) {
@@ -564,7 +604,8 @@ TEST(StreamRunner, CompactionBoundsResidentRecordsWithoutChangingCosts) {
   const StreamRunResult uncompacted =
       run_stream(uncompacted_algorithm, stream, uncompacted_options);
   EXPECT_FALSE(uncompacted.violation.has_value());
-  EXPECT_EQ(uncompacted.ledger.first_record_id(), 0u);
+  EXPECT_EQ(uncompacted.ledger.request_records().size(),
+            uncompacted.ledger.num_requests());
   EXPECT_FALSE(verify_stream(stream, uncompacted.ledger).has_value());
 
   NearestOrOpen compacted_algorithm;
@@ -575,8 +616,9 @@ TEST(StreamRunner, CompactionBoundsResidentRecordsWithoutChangingCosts) {
   const StreamRunResult compacted =
       run_stream(compacted_algorithm, stream, compacted_options);
   EXPECT_FALSE(compacted.violation.has_value());
-  // Compaction really dropped retired prefixes...
-  EXPECT_GT(compacted.ledger.first_record_id(), 0u);
+  // Compaction really dropped retired records...
+  EXPECT_EQ(compacted.ledger.request_records().size(),
+            compacted.ledger.num_active_requests());
   EXPECT_LT(compacted.peak_resident_records, stream.num_arrivals());
   // ...without touching any accounting (bitwise).
   EXPECT_EQ(compacted.ledger.total_cost(), uncompacted.ledger.total_cost());
@@ -586,6 +628,100 @@ TEST(StreamRunner, CompactionBoundsResidentRecordsWithoutChangingCosts) {
             uncompacted.ledger.num_requests());
   EXPECT_EQ(compacted.ledger.num_active_requests(),
             uncompacted.ledger.num_active_requests());
+}
+
+// ------------------------------------------------- live-set compaction ---
+
+struct TracedPdRun {
+  StreamRunResult result;
+  double total_dual = 0.0;
+  std::string tracelog;
+  std::size_t resident_slots = 0;  // PD's past requests still held
+};
+
+TracedPdRun traced_pd_run(const EventStream& stream, bool compact) {
+  PdOmflp pd;
+  StreamRunOptions options;
+  options.batch_size = 32;  // compaction starts while facilities open
+  options.compact = compact;
+  options.verify = true;
+  std::ostringstream os;
+  TraceLogWriter writer(os);
+  StreamRunResult result = [&] {
+    TraceScope scope(writer);
+    return run_stream(pd, stream, options);
+  }();
+  writer.finish();
+  const auto issue = pd.audit_state();
+  EXPECT_FALSE(issue.has_value()) << *issue;
+  return TracedPdRun{std::move(result), pd.total_dual(), os.str(),
+                     pd.dual_records().size()};
+}
+
+// Dropping departed PD slots and retired ledger records changes nothing
+// but memory: costs, the whole decision trace (contributor ids
+// included) and the dual total are bitwise those of an uncompacted run.
+TEST(StreamRunner, PdCompactionIsBitwiseNeutral) {
+  for (const char* scenario : {"churn-uniform", "lease-poisson"}) {
+    SCOPED_TRACE(scenario);
+    const EventStream stream = default_stream_scenario_registry().make(
+        scenario, /*seed=*/12,
+        {{"events", 2048}, {"points", 64}, {"commodities", 6}});
+    const TracedPdRun compacted = traced_pd_run(stream, true);
+    const TracedPdRun dense = traced_pd_run(stream, false);
+    EXPECT_FALSE(compacted.result.violation.has_value());
+    EXPECT_FALSE(dense.result.violation.has_value());
+    const SolutionLedger& a = compacted.result.ledger;
+    const SolutionLedger& b = dense.result.ledger;
+    EXPECT_EQ(a.total_cost(), b.total_cost());
+    EXPECT_EQ(a.active_cost(), b.active_cost());
+    EXPECT_EQ(a.opening_cost(), b.opening_cost());
+    EXPECT_EQ(a.num_facilities(), b.num_facilities());
+    EXPECT_EQ(compacted.total_dual, dense.total_dual);
+    EXPECT_TRUE(compacted.tracelog == dense.tracelog)
+        << "tracelogs differ (" << compacted.tracelog.size() << " vs "
+        << dense.tracelog.size() << " bytes)";
+    // Compaction really happened, on both sides of the session.
+    EXPECT_EQ(dense.resident_slots, dense.result.arrivals);
+    EXPECT_EQ(compacted.resident_slots, a.num_active_requests());
+    EXPECT_EQ(a.request_records().size(), a.num_active_requests());
+    EXPECT_LT(compacted.resident_slots, dense.resident_slots);
+  }
+}
+
+// Soak: ten times the stream length leaves the checkpoint size where it
+// was, because PD and the ledger keep only live requests, and resident
+// records never exceed the live set plus one batch of arrivals.
+TEST(StreamRunner, PdCheckpointSizePlateausWithStreamLength) {
+  const std::size_t batch = 256;
+  const auto checkpoint_bytes = [&](std::size_t events) {
+    const EventStream stream = default_stream_scenario_registry().make(
+        "lease-poisson", /*seed=*/21,
+        {{"events", static_cast<double>(events)},
+         {"points", 24},
+         {"commodities", 4},
+         {"mean_lease", 512}});
+    PdOmflp pd;
+    MaterializedEventSource source(stream);
+    StreamRunOptions options;
+    options.batch_size = batch;
+    options.verify = true;
+    StreamSession session(pd, source, options);
+    while (session.step_batch() != 0) {
+    }
+    std::ostringstream os;
+    CkptWriter writer(os);
+    session.checkpoint(writer);
+    writer.finish();
+    const StreamRunResult result = session.finish();
+    EXPECT_FALSE(result.violation.has_value());
+    EXPECT_LE(result.peak_resident_records, result.peak_active + batch);
+    return static_cast<double>(os.str().size());
+  };
+  const double short_run = checkpoint_bytes(2048);
+  const double long_run = checkpoint_bytes(20480);
+  EXPECT_LE(long_run, 1.1 * short_run);
+  EXPECT_GE(long_run, 0.9 * short_run);
 }
 
 // ------------------------------------------------------------- determinism ---

@@ -409,7 +409,7 @@ int cmd_replay(const std::vector<std::string>& args) {
 // ---------------------------------------------------------------- stream ---
 
 // The surviving set rebuilt from the ledger: compaction only ever drops
-// all-retired prefixes, so every still-active record is resident — this
+// retired records, so every still-active record is resident — this
 // works identically for materialized scenarios and bounded-memory trace
 // runs.
 Instance surviving_from_ledger(const SolutionLedger& ledger,
@@ -894,6 +894,15 @@ int cmd_serve(const std::vector<std::string>& args) {
               << result.checkpoints_published
               << " checkpoint generations published, " << restarts
               << " injected crash" << (restarts == 1 ? "" : "es") << "\n";
+  if (!options.checkpoint_dir.empty()) {
+    std::uint64_t active = 0;
+    for (const TenantResult& tenant : result.tenants)
+      active += tenant.run.ledger.num_active_requests();
+    std::cout << "checkpoint " << result.checkpoint_bytes
+              << " bytes in the newest tenant files, bytes_per_live_request "
+              << (active > 0 ? result.checkpoint_bytes / active : 0)
+              << " (" << active << " active requests)\n";
+  }
   const LatencySnapshot& latency = result.batch_latency;
   // A tail quantile is printed only when at least ten samples lie beyond
   // it (p95 needs 200 batches, p99 1,000, p999 10,000); on thinner
