@@ -206,7 +206,12 @@ std::optional<std::string> check_exhaustive(
   // lhs[m] (which is ≥ +0), leaving it bitwise unchanged, and each lhs[m]
   // still receives its terms in request-index order — so every lhs value
   // equals that of the dense point-major sum bit for bit.
+  // The right-hand sides f^σ_m come one row per configuration from the
+  // model's open_cost_row, whose contract is bitwise equality with
+  // open_cost at every point; the checker still compares every (m, σ)
+  // and counts each comparison, up to and including a failing one.
   std::vector<double> lhs(points);
+  std::vector<double> rhs(points);
   const std::uint64_t num_configs = std::uint64_t{1} << s;
   for (std::uint64_t mask = 1; mask < num_configs; ++mask) {
     const CommoditySet config = set_from_mask(s, mask);
@@ -231,15 +236,17 @@ std::optional<std::string> check_exhaustive(
            o != end && sum > d[*o]; ++o)
         lhs[*o] += sum - d[*o];
     }
+    instance.cost().open_cost_row(config, rhs);
     for (PointId m = 0; m < points; ++m) {
-      const double rhs = instance.cost().open_cost(m, config);
-      OMFLP_PERF_ADD(verifier_checks, 1);
-      if (!tol_leq(lhs[m], rhs, tol))
+      if (!tol_leq(lhs[m], rhs[m], tol)) {
+        OMFLP_PERF_ADD(verifier_checks, m + 1);
         return describe(
             ("dual constraint violated for config " + config.to_string())
                 .c_str(),
-            m, lhs[m], rhs);
+            m, lhs[m], rhs[m]);
+      }
     }
+    OMFLP_PERF_ADD(verifier_checks, points);
   }
   return std::nullopt;
 }

@@ -144,6 +144,7 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
     reader.fail("ledger request count disagrees with the arrival count");
   if (result_.ledger.num_active_requests() > result_.peak_active)
     reader.fail("ledger active count exceeds the session's peak");
+  if (verifier_) verifier_->restore_occupancy(reader, result_.ledger);
 
   reader.expect("algo");
   if (reader.bytes() != algorithm_.name())

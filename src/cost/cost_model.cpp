@@ -4,6 +4,13 @@
 
 namespace omflp {
 
+void FacilityCostModel::open_cost_row(const CommoditySet& config,
+                                      std::span<double> out) const {
+  check_config(config);
+  for (std::size_t m = 0; m < out.size(); ++m)
+    out[m] = open_cost(static_cast<PointId>(m), config);
+}
+
 double FacilityCostModel::singleton_cost(PointId m, CommodityId e) const {
   return open_cost(m, CommoditySet::singleton(num_commodities(), e));
 }

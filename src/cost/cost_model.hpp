@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,14 @@ class FacilityCostModel {
   /// Must be non-negative; empty σ must cost 0. Throws on universe
   /// mismatch.
   virtual double open_cost(PointId m, const CommoditySet& config) const = 0;
+
+  /// One configuration at every point: out[m] = open_cost(m, config),
+  /// bitwise, for m < out.size(). Throws as open_cost would (universe
+  /// mismatch, point out of range). The default loops over open_cost;
+  /// models that price a configuration once per row override it. The
+  /// exhaustive certificate checker asks for one row per configuration.
+  virtual void open_cost_row(const CommoditySet& config,
+                             std::span<double> out) const;
 
   /// True if open_cost is independent of the point m (uniform costs). Lets
   /// algorithms collapse per-point bookkeeping (e.g. RAND-OMFLP's cost

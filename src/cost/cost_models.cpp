@@ -27,6 +27,11 @@ double SizeOnlyCostModel::open_cost(PointId /*m*/,
   return by_size_[check_config(config)];
 }
 
+void SizeOnlyCostModel::open_cost_row(const CommoditySet& config,
+                                      std::span<double> out) const {
+  std::fill(out.begin(), out.end(), by_size_[check_config(config)]);
+}
+
 double SizeOnlyCostModel::cost_of_size(CommodityId k) const {
   OMFLP_REQUIRE(k <= s_, "cost_of_size: size exceeds |S|");
   return by_size_[k];
@@ -47,6 +52,11 @@ PolynomialCostModel::PolynomialCostModel(CommodityId num_commodities,
 double PolynomialCostModel::open_cost(PointId /*m*/,
                                       const CommoditySet& config) const {
   return by_size_[check_config(config)];
+}
+
+void PolynomialCostModel::open_cost_row(const CommoditySet& config,
+                                        std::span<double> out) const {
+  std::fill(out.begin(), out.end(), by_size_[check_config(config)]);
 }
 
 double PolynomialCostModel::cost_of_size(CommodityId k) const {
@@ -72,6 +82,11 @@ CeilRatioCostModel::CeilRatioCostModel(CommodityId num_commodities,
 double CeilRatioCostModel::open_cost(PointId /*m*/,
                                      const CommoditySet& config) const {
   return cost_of_size(check_config(config));
+}
+
+void CeilRatioCostModel::open_cost_row(const CommoditySet& config,
+                                       std::span<double> out) const {
+  std::fill(out.begin(), out.end(), cost_of_size(check_config(config)));
 }
 
 double CeilRatioCostModel::cost_of_size(CommodityId k) const {
@@ -131,6 +146,14 @@ double PointScaledCostModel::open_cost(PointId m,
   OMFLP_REQUIRE(m < multipliers_.size(),
                 "PointScaledCostModel: point out of range");
   return multipliers_[m] * base_->open_cost(m, config);
+}
+
+void PointScaledCostModel::open_cost_row(const CommoditySet& config,
+                                         std::span<double> out) const {
+  OMFLP_REQUIRE(out.size() <= multipliers_.size(),
+                "PointScaledCostModel: point out of range");
+  base_->open_cost_row(config, out);
+  for (std::size_t m = 0; m < out.size(); ++m) out[m] *= multipliers_[m];
 }
 
 std::optional<double> PointScaledCostModel::cost_by_size(PointId m,

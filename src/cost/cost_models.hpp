@@ -33,6 +33,8 @@ class SizeOnlyCostModel final : public FacilityCostModel {
 
   CommodityId num_commodities() const noexcept override { return s_; }
   double open_cost(PointId m, const CommoditySet& config) const override;
+  void open_cost_row(const CommoditySet& config,
+                     std::span<double> out) const override;
   bool location_invariant() const noexcept override { return true; }
   std::optional<double> cost_by_size(PointId m, CommodityId k) const override {
     (void)m;
@@ -60,6 +62,8 @@ class PolynomialCostModel final : public FacilityCostModel {
 
   CommodityId num_commodities() const noexcept override { return s_; }
   double open_cost(PointId m, const CommoditySet& config) const override;
+  void open_cost_row(const CommoditySet& config,
+                     std::span<double> out) const override;
   bool location_invariant() const noexcept override { return true; }
   std::optional<double> cost_by_size(PointId m, CommodityId k) const override {
     (void)m;
@@ -86,6 +90,8 @@ class CeilRatioCostModel final : public FacilityCostModel {
 
   CommodityId num_commodities() const noexcept override { return s_; }
   double open_cost(PointId m, const CommoditySet& config) const override;
+  void open_cost_row(const CommoditySet& config,
+                     std::span<double> out) const override;
   bool location_invariant() const noexcept override { return true; }
   std::optional<double> cost_by_size(PointId m, CommodityId k) const override {
     (void)m;
@@ -139,6 +145,8 @@ class PointScaledCostModel final : public FacilityCostModel {
     return base_->num_commodities();
   }
   double open_cost(PointId m, const CommoditySet& config) const override;
+  void open_cost_row(const CommoditySet& config,
+                     std::span<double> out) const override;
   std::optional<double> cost_by_size(PointId m, CommodityId k) const override;
   std::optional<std::vector<double>> additive_weights(
       PointId m) const override;

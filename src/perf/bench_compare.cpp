@@ -1,5 +1,6 @@
 #include "perf/bench_compare.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -296,6 +297,8 @@ BenchReport read_bench_report(std::istream& is) {
         c.counters, [&](const char* name, std::uint64_t& value) {
           if (const JsonValue* field = counters.find(name))
             value = static_cast<std::uint64_t>(as_size(*field, name));
+          else
+            c.absent_counters.emplace_back(name);
         });
     report.cases.push_back(std::move(c));
   }
@@ -310,6 +313,34 @@ BenchReport read_bench_report_file(const std::string& path) {
 
 // ------------------------------------------------------------ comparing ---
 
+namespace {
+
+bool lacks(const BenchCaseResult& c, const char* counter) {
+  return std::find(c.absent_counters.begin(), c.absent_counters.end(),
+                   counter) != c.absent_counters.end();
+}
+
+/// Appends the case's differing and uncompared counters to `out`.
+void compare_counters(const BenchCaseResult& old_case,
+                      const BenchCaseResult& new_case, CompareReport& out) {
+  std::vector<std::uint64_t> old_values;
+  PerfCounters::for_each_field(
+      old_case.counters,
+      [&](const char*, std::uint64_t value) { old_values.push_back(value); });
+  std::size_t i = 0;
+  PerfCounters::for_each_field(
+      new_case.counters, [&](const char* name, std::uint64_t value) {
+        const std::uint64_t old_value = old_values[i++];
+        if (lacks(old_case, name) || lacks(new_case, name))
+          out.uncompared_counters.emplace_back(old_case.name, name);
+        else if (old_value != value)
+          out.counter_deltas.push_back(
+              {old_case.name, name, old_value, value});
+      });
+}
+
+}  // namespace
+
 CompareReport compare_reports(const BenchReport& old_report,
                               const BenchReport& new_report,
                               const CompareOptions& options) {
@@ -319,6 +350,7 @@ CompareReport compare_reports(const BenchReport& old_report,
 
   CompareReport out;
   out.threshold = options.regression_threshold;
+  out.counters_exact = options.counters_exact;
 
   for (const BenchCaseResult& old_case : old_report.cases) {
     CaseDelta delta;
@@ -345,6 +377,7 @@ CompareReport compare_reports(const BenchReport& old_report,
       delta.lookup_ratio =
           static_cast<double>(new_case->counters.distance_lookups) /
           static_cast<double>(old_case.counters.distance_lookups);
+    compare_counters(old_case, *new_case, out);
     if (delta.time_ratio > options.regression_threshold) {
       delta.status = CaseDelta::Status::kRegressed;
       ++out.regressions;
@@ -396,6 +429,18 @@ void CompareReport::write_table(std::ostream& os) const {
              : "ok: no case slower than ")
      << threshold << "x the old time (" << improvements
      << " improved beyond the same margin)\n";
+  for (const CounterDelta& d : counter_deltas)
+    os << "counter " << d.case_name << " " << d.counter << ": "
+       << d.old_value << " -> " << d.new_value << "\n";
+  std::map<std::string, std::size_t> uncompared;
+  for (const auto& [case_name, counter] : uncompared_counters)
+    ++uncompared[counter];
+  for (const auto& [counter, cases] : uncompared)
+    os << "counter " << counter << " not compared in " << cases
+       << " case(s): absent from one report\n";
+  os << (counters_failed() ? "COUNTERS DIFFER: " : "counters: ")
+     << counter_deltas.size() << " compared counter(s) differ"
+     << (counters_exact ? " (exact gate)" : " (not gated)") << "\n";
   if (new_cases > 0 || missing_cases > 0)
     os << "suite drift: " << new_cases
        << " new case(s) not in the baseline, " << missing_cases

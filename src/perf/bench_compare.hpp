@@ -5,11 +5,13 @@
 // prints the table and exits nonzero when any case regressed beyond it.
 // Counter totals are deterministic (same build, same seeds), so their
 // deltas are exact work differences, reported alongside the (noisy) wall
-// times.
+// times; with counters_exact any differing counter fails the comparison.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "perf/bench_suite.hpp"
@@ -33,6 +35,11 @@ struct CompareOptions {
   /// missing/new cases are still reported loudly so a stale baseline is
   /// visible and gets regenerated in the same PR.
   bool fail_on_missing = false;
+  /// When set, any PerfCounters field that both reports carry for a case
+  /// and that differs fails the comparison (`counters_failed()`). Fields
+  /// one report lacks (a baseline older than the field) are listed, not
+  /// compared.
+  bool counters_exact = false;
 };
 
 struct CaseDelta {
@@ -46,8 +53,22 @@ struct CaseDelta {
   Status status = Status::kOk;
 };
 
+struct CounterDelta {
+  std::string case_name;
+  std::string counter;
+  std::uint64_t old_value = 0;
+  std::uint64_t new_value = 0;
+};
+
 struct CompareReport {
   std::vector<CaseDelta> deltas;  // old-report order, then new-only cases
+  /// Counters of cases in both reports that differ, in case then field
+  /// order.
+  std::vector<CounterDelta> counter_deltas;
+  /// (case, counter) pairs not compared because one report lacks the
+  /// field.
+  std::vector<std::pair<std::string, std::string>> uncompared_counters;
+  bool counters_exact = false;
   /// Cases beyond the threshold; with fail_on_missing, also the baseline
   /// cases missing from the new report.
   std::size_t regressions = 0;
@@ -60,6 +81,10 @@ struct CompareReport {
   double threshold = 0.0;
 
   bool any_regression() const noexcept { return regressions > 0; }
+  /// Under counters_exact: some compared counter differs.
+  bool counters_failed() const noexcept {
+    return counters_exact && !counter_deltas.empty();
+  }
   /// Per-case markdown table plus a one-line verdict.
   void write_table(std::ostream& os) const;
 };

@@ -76,6 +76,10 @@ struct BenchCaseResult {
   double ns_per_op_max = 0.0;
   double requests_per_sec = 0.0;  // requests_per_op / median seconds
   PerfCounters counters;          // totals of one op; all-zero if skipped
+  /// Counter names the document read did not carry (a baseline older
+  /// than the field); set by read_bench_report. Such a field reads 0 and
+  /// is not compared.
+  std::vector<std::string> absent_counters;
   /// Internal latency distribution of the last trial (count == 0 when
   /// the case has no latency channel).
   LatencySnapshot latency;

@@ -582,7 +582,6 @@ void StreamVerifier::restore(CkptReader& reader) {
   reader.expect("verifier-active");
   const std::uint64_t num_active = reader.u();
   active_costs_.reserve(capped_reserve(num_active));
-  occupancy_.assign(facilities_seen_, 0);
   for (std::uint64_t i = 0; i < num_active; ++i) {
     const auto id = static_cast<RequestId>(reader.u());
     ActiveRequest entry;
@@ -594,13 +593,25 @@ void StreamVerifier::restore(CkptReader& reader) {
       if (f >= facilities_seen_)
         reader.fail("verifier active entry references an unknown facility");
       entry.connected.push_back(f);
-      ++occupancy_[f];
     }
     if (!active_costs_.emplace(id, std::move(entry)).second)
       reader.fail("duplicate verifier active-request id");
   }
   reader.expect("verifier-error");
   if (reader.b()) error_ = VerificationError{reader.bytes()};
+}
+
+void StreamVerifier::restore_occupancy(CkptReader& reader,
+                                       const SolutionLedger& ledger) {
+  // An erroring verifier stops catching up with new facilities, so only
+  // then may its count trail the ledger's.
+  const std::size_t facilities = ledger.num_facilities();
+  if (error_ ? facilities_seen_ > facilities : facilities_seen_ != facilities)
+    reader.fail("verifier facility count disagrees with the ledger");
+  occupancy_.assign(facilities_seen_, 0);
+  // Integer tallies: the unordered visiting order cannot change them.
+  for (const auto& [id, entry] : active_costs_)
+    for (const FacilityId f : entry.connected) ++occupancy_[f];
 }
 
 }  // namespace omflp

@@ -106,9 +106,12 @@ class StreamVerifier {
   /// restored run keeps full verification coverage over the events it
   /// replays — including a sticky error recorded before the snapshot.
   /// restore fills a freshly constructed verifier (same metric, cost
-  /// model and tolerance).
+  /// model and tolerance); restore_occupancy completes it once the
+  /// session's ledger is restored, checking the declared facility count
+  /// against the ledger's before anything is sized by it.
   void serialize(CkptWriter& writer) const;
   void restore(CkptReader& reader);
+  void restore_occupancy(CkptReader& reader, const SolutionLedger& ledger);
 
  private:
   struct ActiveRequest {

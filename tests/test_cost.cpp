@@ -3,14 +3,23 @@
 // power-of-two rounding, and the cost-class index used by RAND-OMFLP.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "baseline/per_commodity.hpp"
 #include "cost/checks.hpp"
 #include "cost/cost_classes.hpp"
 #include "cost/cost_models.hpp"
+#include "cost/heavy.hpp"
+#include "instance/transforms.hpp"
 #include "metric/line_metric.hpp"
+#include "metric/metric_space.hpp"
+#include "scenario/scenario_registry.hpp"
 #include "support/rng.hpp"
 
 namespace omflp {
@@ -275,6 +284,72 @@ TEST(CostClassIndex, RejectsEmptyConfig) {
   auto metric = LineMetric::uniform_grid(2, 1.0);
   auto cost = std::make_shared<PolynomialCostModel>(2, 1.0);
   EXPECT_THROW(CostClassIndex(metric, cost, CommoditySet(2)),
+               std::invalid_argument);
+}
+
+// ------------------------------------------------------------ cost rows ---
+
+/// open_cost_row must equal open_cost bit for bit at every point, for
+/// every configuration of a small universe, and reject a foreign
+/// universe just as open_cost does.
+void expect_rows_match(const FacilityCostModel& model, std::size_t points,
+                       const std::string& label) {
+  const CommodityId s = model.num_commodities();
+  ASSERT_LE(s, 6u) << label;
+  std::vector<double> row(points);
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << s); ++mask) {
+    CommoditySet config(s);
+    for (CommodityId e = 0; e < s; ++e)
+      if ((mask >> e) & 1) config.add(e);
+    std::fill(row.begin(), row.end(), -1.0);
+    model.open_cost_row(config, row);
+    for (PointId m = 0; m < points; ++m)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[m]),
+                std::bit_cast<std::uint64_t>(model.open_cost(m, config)))
+          << label << " config " << config.to_string() << " point " << m;
+  }
+  EXPECT_THROW(model.open_cost_row(CommoditySet(s + 1), row),
+               std::invalid_argument)
+      << label;
+}
+
+TEST(OpenCostRow, EqualsOpenCostBitwiseForEveryModel) {
+  constexpr std::size_t kPoints = 7;
+  const auto poly = std::make_shared<PolynomialCostModel>(5, 1.3, 2.5);
+  const std::vector<double> multipliers = {1.0, 0.3, 7.25, 1.0 / 3.0,
+                                           2.0, 1e-3, 11.0};
+  const std::vector<std::pair<std::string, CostModelPtr>> models = {
+      {"size-only", std::make_shared<SizeOnlyCostModel>(
+                        6, [](CommodityId k) { return std::sqrt(k) / 3.0; })},
+      {"polynomial", poly},
+      {"ceil-ratio", std::make_shared<CeilRatioCostModel>(6, 0.7)},
+      {"linear", std::make_shared<LinearCostModel>(
+                     std::vector<double>{0.1, 0.2, 0.3, 1.0 / 7.0})},
+      {"heavy-tail",
+       std::make_shared<HeavyTailCostModel>(
+           6, [](CommodityId k) { return std::sqrt(k); },
+           CommoditySet(6, {1, 4}),
+           std::vector<double>{0, 5.5, 0, 0, 1.0 / 3.0, 0})},
+      {"point-scaled",
+       std::make_shared<PointScaledCostModel>(poly, multipliers)},
+      {"point-scaled(ceil)",
+       std::make_shared<PointScaledCostModel>(
+           std::make_shared<CeilRatioCostModel>(4), multipliers)},
+      {"scaled", std::make_shared<ScaledCostModel>(poly, 1.0 / 3.0)},
+      {"restricted", std::make_shared<RestrictedCostModel>(poly, 3)}};
+  for (const auto& [label, model] : models)
+    expect_rows_match(*model, kPoints, label);
+
+  // figure3's engineered model is reachable only through its scenario.
+  const Instance fig3 = default_scenario_registry().make("figure3", 1);
+  expect_rows_match(fig3.cost(), fig3.metric().num_points(), "figure3");
+}
+
+TEST(OpenCostRow, PointScaledRejectsRowsBeyondItsPoints) {
+  const PointScaledCostModel model(
+      std::make_shared<PolynomialCostModel>(3, 1.0), {1.0, 2.0});
+  std::vector<double> row(3);
+  EXPECT_THROW(model.open_cost_row(CommoditySet(3, {0}), row),
                std::invalid_argument);
 }
 

@@ -14,6 +14,7 @@
 #include <cctype>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -525,6 +526,81 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
     }
   }
   EXPECT_GT(tampered, 10u) << "corpus barely exercised the count paths";
+}
+
+StreamRunOptions verified_checkpoint_options() {
+  StreamRunOptions options = checkpoint_options();
+  options.verify = true;
+  return options;
+}
+
+/// A checkpoint of a verified PD session: it carries the stream
+/// verifier's lines, which the default corpus does not.
+std::string valid_verified_checkpoint() {
+  PdOmflp pd;
+  MaterializedEventSource source(checkpoint_stream());
+  StreamSession session(pd, source, verified_checkpoint_options());
+  (void)session.step_batch();
+  (void)session.step_batch();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+/// Restores a verified session from `text` and checkpoints it again.
+std::string restore_and_recheckpoint(const std::string& text) {
+  PdOmflp pd;
+  MaterializedEventSource source(checkpoint_stream());
+  std::istringstream is(text);
+  CkptReader reader(is);
+  StreamSession session(pd, source, verified_checkpoint_options(), reader);
+  reader.finish();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+TEST(FuzzParsers, VerifiedCheckpointRoundTripsByteIdentically) {
+  const std::string base = valid_verified_checkpoint();
+  ASSERT_NE(base.find("\nverifier "), std::string::npos);
+  EXPECT_EQ(restore_and_recheckpoint(base), base);
+}
+
+TEST(FuzzParsers, VerifierFacilityCountIsCheckedBeforeSizing) {
+  // The verifier line's second field is its facility count; 2^62 would
+  // ask for 2^65 bytes of occupancy tally if it were trusted, and one
+  // more than the ledger holds is just as wrong.
+  const std::vector<std::string> lines =
+      split_lines(valid_verified_checkpoint());
+  std::size_t at = lines.size();
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].rfind("verifier ", 0) == 0) at = i;
+  ASSERT_LT(at, lines.size());
+  std::istringstream fields(lines[at]);
+  std::string key, next_expected, facilities;
+  fields >> key >> next_expected >> facilities;
+  const std::size_t pos = key.size() + 1 + next_expected.size() + 1;
+  ASSERT_EQ(lines[at].compare(pos, facilities.size(), facilities), 0);
+  for (const std::string& hostile :
+       {std::string("4611686018427387904"),
+        std::to_string(std::stoull(facilities) + 1)}) {
+    std::vector<std::string> t = lines;
+    t[at].replace(pos, facilities.size(), hostile);
+    try {
+      (void)restore_and_recheckpoint(resealed(join_lines(t)));
+      ADD_FAILURE() << "verifier facility count " << hostile
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "verifier facility count disagrees with the ledger"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -382,6 +382,67 @@ TEST(Compare, NewOnlyCasesAreNeverRegressions) {
   EXPECT_EQ(comparison.deltas[2].status, CaseDelta::Status::kOnlyNew);
 }
 
+TEST(Compare, CountersExactFailsOnAnyDifferingCounter) {
+  const BenchReport old_report = synthetic_report(1000.0, 1000.0);
+  BenchReport new_report = synthetic_report(1000.0, 1000.0);
+  new_report.cases[1].counters.verifier_checks = 1;
+  // Reported either way; gated only under counters_exact.
+  const CompareReport reported = compare_reports(old_report, new_report);
+  ASSERT_EQ(reported.counter_deltas.size(), 1u);
+  EXPECT_EQ(reported.counter_deltas[0].case_name, "two");
+  EXPECT_EQ(reported.counter_deltas[0].counter, "verifier_checks");
+  EXPECT_EQ(reported.counter_deltas[0].old_value, 0u);
+  EXPECT_EQ(reported.counter_deltas[0].new_value, 1u);
+  EXPECT_FALSE(reported.counters_failed());
+
+  const CompareReport gated = compare_reports(
+      old_report, new_report, CompareOptions{.counters_exact = true});
+  EXPECT_TRUE(gated.counters_failed());
+  EXPECT_FALSE(gated.any_regression());  // wall times are unchanged
+  std::ostringstream table;
+  gated.write_table(table);
+  EXPECT_NE(table.str().find("counter two verifier_checks: 0 -> 1"),
+            std::string::npos);
+  EXPECT_NE(table.str().find("COUNTERS DIFFER: 1"), std::string::npos);
+
+  const CompareReport same = compare_reports(
+      old_report, old_report, CompareOptions{.counters_exact = true});
+  EXPECT_TRUE(same.counter_deltas.empty());
+  EXPECT_FALSE(same.counters_failed());
+}
+
+TEST(Compare, CountersAbsentFromTheBaselineAreListedNotGated) {
+  // A baseline written before a counter existed: drop the field from
+  // its JSON and read it back.
+  std::ostringstream written;
+  synthetic_report(1000.0, 1000.0).write_json(written);
+  std::string text = written.str();
+  const std::string field = "\"assignments_spilled\": 0";
+  for (std::size_t at; (at = text.find(", " + field)) != std::string::npos;)
+    text.erase(at, field.size() + 2);
+  std::istringstream is(text);
+  const BenchReport old_report = read_bench_report(is);
+  for (const BenchCaseResult& c : old_report.cases)
+    EXPECT_EQ(c.absent_counters,
+              std::vector<std::string>{"assignments_spilled"});
+
+  BenchReport new_report = synthetic_report(1000.0, 1000.0);
+  new_report.cases[0].counters.assignments_spilled = 7;
+  const CompareReport comparison = compare_reports(
+      old_report, new_report, CompareOptions{.counters_exact = true});
+  EXPECT_TRUE(comparison.counter_deltas.empty());
+  EXPECT_FALSE(comparison.counters_failed());
+  ASSERT_EQ(comparison.uncompared_counters.size(), 2u);
+  EXPECT_EQ(comparison.uncompared_counters[0],
+            (std::pair<std::string, std::string>{"one",
+                                                 "assignments_spilled"}));
+  std::ostringstream table;
+  comparison.write_table(table);
+  EXPECT_NE(table.str().find("counter assignments_spilled not compared in "
+                             "2 case(s)"),
+            std::string::npos);
+}
+
 TEST(Compare, RejectsThresholdBelowOne) {
   const BenchReport report = synthetic_report(1.0, 1.0);
   EXPECT_THROW(

@@ -100,6 +100,108 @@ TEST(CommoditySet, HashDistinguishesAndAgrees) {
   EXPECT_FALSE(a == c);
 }
 
+// Universes on both sides of the inline/heap boundary (64 commodities).
+constexpr CommodityId kBoundaryUniverses[] = {0, 1, 63, 64, 65, 128};
+
+/// {0, u/2, u-1} (empty for the empty universe).
+CommoditySet three_spread(CommodityId universe) {
+  CommoditySet s(universe);
+  if (universe > 0) {
+    s.add(0);
+    s.add(universe - 1);
+    s.add(universe / 2);
+  }
+  return s;
+}
+
+TEST(CommoditySet, AlgebraAndTrimAtEveryBoundaryUniverse) {
+  for (const CommodityId u : kBoundaryUniverses) {
+    SCOPED_TRACE(u);
+    const CommoditySet empty(u);
+    const CommoditySet full = CommoditySet::full_set(u);
+    EXPECT_EQ(full.count(), u);
+    EXPECT_TRUE(full.is_full());
+    EXPECT_EQ(full.empty(), u == 0);
+    EXPECT_EQ(full == empty, u == 0);
+    EXPECT_EQ(full - full, empty);
+    EXPECT_EQ(full & empty, empty);
+    EXPECT_EQ(full | empty, full);
+    const CommoditySet spread = three_spread(u);
+    EXPECT_TRUE(spread.is_subset_of(full));
+    EXPECT_EQ(spread & full, spread);
+    EXPECT_EQ((full - spread).count(), u - spread.count());
+    EXPECT_FALSE((full - spread).intersects(spread));
+    EXPECT_EQ((full - spread) | spread, full);
+    if (u == 0) continue;
+    EXPECT_EQ(spread.first(), 0u);
+    EXPECT_TRUE(full.contains(u - 1));
+    EXPECT_EQ(full.to_vector().back(), u - 1);
+    CommoditySet grown = spread;
+    grown.remove(0);
+    EXPECT_FALSE(grown == spread);
+    grown.add(0);
+    EXPECT_EQ(grown, spread);
+  }
+}
+
+TEST(CommoditySet, CopyMoveAndAssignAcrossInlineAndHeapSizes) {
+  for (const CommodityId from : kBoundaryUniverses) {
+    for (const CommodityId to : kBoundaryUniverses) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      const CommoditySet source = three_spread(from);
+      CommoditySet copy_assigned = three_spread(to);
+      copy_assigned = source;
+      EXPECT_EQ(copy_assigned, source);
+      EXPECT_EQ(copy_assigned.universe_size(), from);
+      if (from > 1) {  // the copy owns its words
+        copy_assigned.add(1);
+        EXPECT_FALSE(copy_assigned == source);
+      }
+
+      CommoditySet moved_from = source;
+      CommoditySet move_assigned = three_spread(to);
+      move_assigned = std::move(moved_from);
+      EXPECT_EQ(move_assigned, source);
+      CommoditySet move_constructed(std::move(move_assigned));
+      EXPECT_EQ(move_constructed, source);
+    }
+    const CommoditySet source = three_spread(from);
+    CommoditySet self = source;
+    const CommoditySet& alias = self;
+    self = alias;
+    EXPECT_EQ(self, source);
+  }
+}
+
+TEST(CommoditySet, HashValuesArePinned) {
+  // Unordered containers keyed by sets iterate in hash order, so these
+  // FNV-1a values must not change with the storage layout.
+  struct Pinned {
+    CommodityId universe;
+    std::size_t empty, full, spread;
+  };
+  const Pinned pinned[] = {
+      {0, 0x14650fb0739d0383ULL, 0x14650fb0739d0383ULL,
+       0x14650fb0739d0383ULL},
+      {1, 0x44bd2ad473ccf5e6ULL, 0x44bd2bd473ccf799ULL,
+       0x44bd2bd473ccf799ULL},
+      {63, 0x44bd64d473cd5874ULL, 0x3b429a2b8c32a5d9ULL,
+       0x04bd66adf3cd5a27ULL},
+      {64, 0x44bd6bd473cd6459ULL, 0xbb42932b8c3299f4ULL,
+       0xc4bd6c8773cd62a6ULL},
+      {65, 0x9b3f2d00c5fea012ULL, 0x64bd6bff39fe7b12ULL,
+       0x9b457529c6018188ULL},
+      {128, 0x98b61300c3d7247bULL, 0x98b97800c3da05f1ULL,
+       0x18b2ae00c3d44305ULL}};
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.universe);
+    EXPECT_EQ(CommoditySet(p.universe).hash(), p.empty);
+    EXPECT_EQ(CommoditySet::full_set(p.universe).hash(), p.full);
+    EXPECT_EQ(three_spread(p.universe).hash(), p.spread);
+    EXPECT_EQ(CommoditySetHash{}(three_spread(p.universe)), p.spread);
+  }
+}
+
 TEST(CommoditySet, ToString) {
   EXPECT_EQ(CommoditySet(8, {0, 3, 7}).to_string(), "{0,3,7}/8");
 }

@@ -208,10 +208,12 @@ int usage(std::ostream& os, int exit_code) {
         "  compare OLD NEW           diff two BENCH json files\n"
         "    --threshold X             regression gate on ns/op "
         "(default: 1.10)\n"
-        "    --report-only             always exit 0 (CI trend "
+        "    --report-only             never fail on wall time (CI trend "
         "reporting)\n"
         "    --fail-on-missing         treat baseline cases missing from "
-        "NEW as regressions\n";
+        "NEW as regressions\n"
+        "    --counters-exact          fail when a work counter both files "
+        "carry differs\n";
   return exit_code;
 }
 
@@ -1378,6 +1380,7 @@ int cmd_compare(const std::vector<std::string>& args) {
           parse_double_arg(take_value(args, i), "--threshold");
     else if (args[i] == "--report-only") report_only = true;
     else if (args[i] == "--fail-on-missing") options.fail_on_missing = true;
+    else if (args[i] == "--counters-exact") options.counters_exact = true;
     else if (!args[i].empty() && args[i][0] != '-') paths.push_back(args[i]);
     else throw std::invalid_argument("compare: unknown option " + args[i]);
   }
@@ -1394,7 +1397,8 @@ int cmd_compare(const std::vector<std::string>& args) {
   const CompareReport comparison =
       compare_reports(old_report, new_report, options);
   comparison.write_table(std::cout);
-  return comparison.any_regression() && !report_only ? 1 : 0;
+  const bool slower = comparison.any_regression() && !report_only;
+  return slower || comparison.counters_failed() ? 1 : 0;
 }
 
 }  // namespace
