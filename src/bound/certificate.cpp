@@ -1,11 +1,11 @@
 #include "bound/certificate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <istream>
 #include <limits>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -165,7 +165,40 @@ struct CheckedRequest {
 };
 
 /// Exhaustive path: constraint (D) for every configuration σ ⊆ S at every
-/// point. Requires |S| ≤ 63 (configurations as bitmasks).
+/// point, in ascending mask order and ascending m, with the lhs bits of
+/// the dense sweep
+///
+///     lhs[m] = +0.0;  for r in request order:  lhs[m] += t > 0 ? t : +0.0
+///     with t = A_r(σ) − d(m, r),  A_r(σ) = the ascending-commodity sum
+///     0.0 + a_{r,e_1} + a_{r,e_2} + …  over σ ∩ s_r.
+///
+/// The dense sweep is not run; three facts make a sparse one equal to it
+/// bit for bit (no FTZ/DAZ: with gradual underflow t > 0 iff A > d):
+///   * Reach lists. Rounding is monotone, so adding a term ≤ 0 never
+///     raises a running sum and adding a term > 0 never lowers one; hence
+///     every subset sum A_r(σ) ≤ cap_r, the same ascending sum over r's
+///     positive duals only. A point with cap_r ≤ d(m, r) gets no positive
+///     term from r under any σ. Each point keeps the list of (r, d(m, r))
+///     with cap_r > d(m, r) in request order; a point with an empty list
+///     has lhs = +0.0 in every configuration.
+///   * Request sums. T_r[j] = T_r[j without its top bit] + a_top (local
+///     bit i ↔ the i-th smallest commodity of s_r, T_r[0] = 0.0) is the
+///     ascending addition chain itself, so T_r[pext(mask, s_r)] = A_r(σ).
+///     Requests whose table would outgrow 4·|S| entries instead run the
+///     ascending bit loop over a dense dual row (a_{r,e} at index e), the
+///     same chain. A request disjoint from σ gets A = 0.0, so t ≤ 0.
+///   * +0.0 additions. Every lhs is ≥ +0 and x + (+0.0) == x bitwise, so
+///     adding +0.0 for a non-positive t, or for a request not in the
+///     point's list, changes nothing: only the positive terms in request
+///     order remain, as in the dense sweep.
+/// Each configuration compares the reached points with the exact tol_leq
+/// and clears every other point by one integer scan of the rhs row: with
+/// tol ≥ 0, lhs = +0.0 ≤ rhs + tol·max(1, |rhs|) holds for every rhs
+/// whose bits have no sign bit and an exponent short of all ones. On a
+/// failure, or any rhs the scan cannot clear, the exact scalar scan over
+/// every point reruns, so the first violating m and the count m + 1 are
+/// those of the dense sweep. Extra memory is O(n·|S| + reach entries +
+/// |M|). Requires |S| ≤ 63 (configurations as bitmasks).
 std::optional<std::string> check_exhaustive(
     const Instance& instance, const DualCertificate& cert,
     const std::vector<CheckedRequest>& reqs, double tol) {
@@ -173,77 +206,165 @@ std::optional<std::string> check_exhaustive(
   const std::size_t points = instance.metric().num_points();
   const CommodityId s = cert.num_commodities;
 
-  std::vector<std::uint64_t> masks(n, 0);
-  for (std::size_t r = 0; r < n; ++r)
-    for (CommodityId e : reqs[r].commodities)
-      masks[r] |= std::uint64_t{1} << e;
-
-  // Distances d(m, r), n per point; recomputed from the metric directly
-  // (no DistanceOracle — the checker shares nothing with the bounder).
-  // Beside each request's row, its points in ascending distance order
-  // (ties by point index), so a sweep can stop at the first point the
-  // request's sum does not reach.
-  std::vector<double> dist(n * points);
-  std::vector<std::uint32_t> order(n * points);
+  // Reach entries (point, request, d) in request order; distances come
+  // from the metric directly (no DistanceOracle — the checker shares
+  // nothing with the bounder).
+  struct Hit {
+    PointId point;
+    std::uint32_t request;
+    double dist;
+  };
+  std::vector<Hit> hits;
+  std::vector<bool> reached(n, false);
   for (std::size_t r = 0; r < n; ++r) {
-    double* d = dist.data() + r * points;
-    for (PointId m = 0; m < points; ++m)
-      d[m] = instance.metric().distance(reqs[r].location, m);
-    std::uint32_t* o = order.data() + r * points;
-    std::iota(o, o + points, std::uint32_t{0});
-    std::sort(o, o + points, [d](std::uint32_t a, std::uint32_t b) {
-      return d[a] < d[b] || (d[a] == d[b] && a < b);
-    });
+    double cap = 0.0;
+    for (const double a : cert.duals[r])
+      if (a > 0.0) cap += a;
+    for (PointId m = 0; m < points; ++m) {
+      const double d = instance.metric().distance(reqs[r].location, m);
+      if (cap > d) {
+        hits.push_back({m, static_cast<std::uint32_t>(r), d});
+        reached[r] = true;
+      }
+    }
   }
   OMFLP_PERF_ADD(distance_lookups, n * points);
 
-  // Per configuration: each request's dual sum Σ_{e∈σ∩s_r} a_{r,e} does
-  // not depend on the point, so it is formed once and swept over the
-  // request's distance-ordered points while sum > d(m, r). Those are
-  // exactly the points with a positive clipped term (with gradual
-  // underflow, sum − d > 0 holds iff sum > d), and past the first miss
-  // every point is at least as far. A skipped term would add +0.0 to
-  // lhs[m] (which is ≥ +0), leaving it bitwise unchanged, and each lhs[m]
-  // still receives its terms in request-index order — so every lhs value
-  // equals that of the dense point-major sum bit for bit.
-  // The right-hand sides f^σ_m come one row per configuration from the
-  // model's open_cost_row, whose contract is bitwise equality with
-  // open_cost at every point; the checker still compares every (m, σ)
-  // and counts each comparison, up to and including a failing one.
-  std::vector<double> lhs(points);
+  // One sum slot per reached request: those with a table T_r first, then
+  // those on dense dual rows.
+  const std::size_t max_table = 4 * static_cast<std::size_t>(s);
+  std::vector<std::uint32_t> slot_of(n);
+  std::vector<double> tables;
+  std::vector<std::size_t> table_base;
+  std::vector<std::uint64_t> table_masks;
+  std::vector<std::uint64_t> dense_masks;
+  std::vector<double> dense_rows;  // |S| per dense-row request
+  for (const bool tabled : {true, false}) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t k = reqs[r].commodities.size();
+      if (!reached[r] || ((std::size_t{1} << k) <= max_table) != tabled)
+        continue;
+      std::uint64_t dmask = 0;
+      for (const CommodityId e : reqs[r].commodities)
+        dmask |= std::uint64_t{1} << e;
+      if (tabled) {
+        slot_of[r] = static_cast<std::uint32_t>(table_masks.size());
+        table_masks.push_back(dmask);
+        table_base.push_back(tables.size());
+        tables.resize(tables.size() + (std::size_t{1} << k), 0.0);
+        double* t = tables.data() + table_base.back();
+        for (std::size_t j = 1; j < (std::size_t{1} << k); ++j) {
+          const int top = std::bit_width(j) - 1;
+          t[j] = t[j ^ (std::size_t{1} << top)] +
+                 cert.duals[r][static_cast<std::size_t>(top)];
+        }
+      } else {
+        slot_of[r] =
+            static_cast<std::uint32_t>(table_masks.size() + dense_masks.size());
+        dense_masks.push_back(dmask);
+        const std::size_t row = dense_rows.size();
+        dense_rows.resize(row + s, 0.0);
+        for (std::size_t i = 0; i < k; ++i)
+          dense_rows[row + reqs[r].commodities[i]] = cert.duals[r][i];
+      }
+    }
+  }
+  const std::size_t table_slots = table_masks.size();
+
+  // j = pext(mask, dmask), split at commodity 8: the local bits of
+  // commodities 0–7 come from `low` (one row per low byte of the mask,
+  // one column per table slot), those of higher commodities are folded
+  // into `high_base` whenever the mask's upper bits change.
+  const auto local_bits = [](std::uint64_t mask, std::uint64_t dmask,
+                             std::uint64_t keep) {
+    std::uint32_t j = 0;
+    for (std::uint32_t i = 0; dmask != 0; dmask &= dmask - 1, ++i)
+      if (mask & keep & dmask & (~dmask + 1)) j |= std::uint32_t{1} << i;
+    return j;
+  };
+  constexpr std::uint64_t kLow = 0xff;
+  const std::size_t low_values = std::size_t{1} << std::min<CommodityId>(s, 8);
+  std::vector<std::uint8_t> low(low_values * table_slots);
+  for (std::size_t v = 0; v < low_values; ++v)
+    for (std::size_t k = 0; k < table_slots; ++k)
+      low[v * table_slots + k] =
+          static_cast<std::uint8_t>(local_bits(v, table_masks[k], kLow));
+
+  // The per-point lists, concatenated in point order (a stable counting
+  // sort of `hits`, so each list stays in request order; `start` ends up
+  // as the fill cursors); each entry carries its point's rank among the
+  // reached points.
+  struct Entry {
+    std::uint32_t slot;
+    std::uint32_t rank;
+    double dist;
+  };
+  std::vector<std::size_t> start(points + 1, 0);
+  for (const Hit& h : hits) ++start[h.point + 1];
+  std::vector<PointId> reached_points;
+  std::vector<std::uint32_t> rank_of(points);
+  for (PointId m = 0; m < points; ++m) {
+    rank_of[m] = static_cast<std::uint32_t>(reached_points.size());
+    if (start[m + 1] != 0) reached_points.push_back(m);
+    start[m + 1] += start[m];
+  }
+  std::vector<Entry> entries(hits.size());
+  for (const Hit& h : hits)
+    entries[start[h.point]++] = {slot_of[h.request], rank_of[h.point], h.dist};
+  hits = {};
+
+  std::vector<std::size_t> high_base(table_slots);
+  std::vector<double> sums(table_slots + dense_masks.size());
+  std::vector<double> acc(reached_points.size());
+  std::vector<double> lhs(points, 0.0);  // +0.0 wherever nothing reaches
   std::vector<double> rhs(points);
   const std::uint64_t num_configs = std::uint64_t{1} << s;
   for (std::uint64_t mask = 1; mask < num_configs; ++mask) {
-    const CommoditySet config = set_from_mask(s, mask);
-    std::fill(lhs.begin(), lhs.end(), 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-      std::uint64_t inter = mask & masks[r];
-      if (!inter) continue;
+    if (mask == 1 || (mask & kLow) == 0)
+      for (std::size_t k = 0; k < table_slots; ++k)
+        high_base[k] = table_base[k] + local_bits(mask, table_masks[k], ~kLow);
+    const std::uint8_t* low_row = low.data() + (mask & kLow) * table_slots;
+    for (std::size_t k = 0; k < table_slots; ++k)
+      sums[k] = tables[high_base[k] + low_row[k]];
+    for (std::size_t k = 0; k < dense_masks.size(); ++k) {
+      const double* row = dense_rows.data() + k * s;
       double sum = 0.0;
-      while (inter) {
-        const int bit = __builtin_ctzll(inter);
-        // Index of commodity `bit` within s_r = number of demanded
-        // commodities below it (dual rows are in ascending order).
-        const std::uint64_t below =
-            masks[r] & ((std::uint64_t{1} << bit) - 1);
-        sum += cert.duals[r][static_cast<std::size_t>(
-            __builtin_popcountll(below))];
-        inter &= inter - 1;
-      }
-      const double* d = dist.data() + r * points;
-      for (const std::uint32_t* o = order.data() + r * points,
-                              * end = o + points;
-           o != end && sum > d[*o]; ++o)
-        lhs[*o] += sum - d[*o];
+      for (std::uint64_t inter = mask & dense_masks[k]; inter != 0;
+           inter &= inter - 1)
+        sum += row[std::countr_zero(inter)];
+      sums[table_slots + k] = sum;
     }
+
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (const Entry& e : entries) {
+      const double t = sums[e.slot] - e.dist;
+      acc[e.rank] += t > 0.0 ? t : 0.0;
+    }
+    const CommoditySet config = set_from_mask(s, mask);
     instance.cost().open_cost_row(config, rhs);
-    for (PointId m = 0; m < points; ++m) {
-      if (!tol_leq(lhs[m], rhs[m], tol)) {
-        OMFLP_PERF_ADD(verifier_checks, m + 1);
-        return describe(
-            ("dual constraint violated for config " + config.to_string())
-                .c_str(),
-            m, lhs[m], rhs[m]);
+    bool ok = true;
+    for (std::size_t p = 0; p < reached_points.size(); ++p) {
+      const PointId m = reached_points[p];
+      lhs[m] = acc[p];
+      ok &= tol_leq(acc[p], rhs[m], tol);
+    }
+    // Bit 63 of `bits` is the sign; bits + 2^52 carries into it exactly
+    // when a non-negative pattern's exponent is all ones. A negative or
+    // NaN tolerance leaves every point to the exact scan.
+    std::uint64_t doubt = tol >= 0.0 ? 0 : ~std::uint64_t{0};
+    for (const double v : rhs) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      doubt |= bits | (bits + (std::uint64_t{1} << 52));
+    }
+    if (!ok || (doubt >> 63) != 0) {
+      for (PointId m = 0; m < points; ++m) {
+        if (!tol_leq(lhs[m], rhs[m], tol)) {
+          OMFLP_PERF_ADD(verifier_checks, m + 1);
+          return describe(
+              ("dual constraint violated for config " + config.to_string())
+                  .c_str(),
+              m, lhs[m], rhs[m]);
+        }
       }
     }
     OMFLP_PERF_ADD(verifier_checks, points);

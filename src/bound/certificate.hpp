@@ -81,13 +81,14 @@ struct VerifyCertificateOptions {
   /// cost-model structure claims. It runs when 2^|S| · n · |M| fits this
   /// work budget (and |S| ≤ 63); beyond it the checker falls back to the
   /// structured sufficient conditions below. The per-request sums
-  /// Σ_{e∈σ∩s_r} a_{r,e} do not depend on the point m, so the path forms
-  /// them once per σ and adds each to the lhs of only the points it
-  /// reaches: the prefix of the request's points, presorted by distance,
-  /// with d(m, r) below the sum. The terms it skips are exactly the +0
-  /// clipped ones, and every lhs still sums its terms in request order, so
-  /// the values are bitwise those of a dense sweep. The work estimate
-  /// counts the (σ, r, m) terms all the same.
+  /// Σ_{e∈σ∩s_r} a_{r,e} do not depend on the point m, so the path reads
+  /// them once per σ from per-request subset-sum tables, and adds them
+  /// only at the points a request can reach under some σ (d(m, r) below
+  /// the sum of its positive duals); every other point's lhs is +0. The
+  /// terms it skips are exactly the +0 clipped ones, and every lhs still
+  /// sums its terms in request order, so the values are bitwise those of
+  /// a dense sweep. The work estimate counts the (σ, r, m) terms all the
+  /// same.
   std::size_t max_exhaustive_work = std::size_t{1} << 27;
 };
 

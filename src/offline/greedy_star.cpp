@@ -21,10 +21,19 @@ struct Candidate {
   PointId point = 0;
   CommoditySet config;
   double open_cost = 0.0;
+  /// Offset of the point's row in Candidates::distances.
+  std::size_t row = 0;
 };
 
-std::vector<Candidate> build_candidates(const Instance& instance,
-                                        const GreedyStarOptions& options) {
+struct Candidates {
+  std::vector<Candidate> list;
+  /// One row per candidate point: d(location of request i, point) at
+  /// index i, computed once per solve (n·|points| doubles).
+  std::vector<double> distances;
+};
+
+Candidates build_candidates(const Instance& instance,
+                            const GreedyStarOptions& options) {
   std::vector<PointId> points;
   const std::size_t m = instance.metric().num_points();
   if (m <= options.all_points_limit) {
@@ -56,12 +65,19 @@ std::vector<Candidate> build_candidates(const Instance& instance,
               return a.to_vector() < b.to_vector();
             });
 
-  std::vector<Candidate> candidates;
-  candidates.reserve(points.size() * config_list.size());
-  for (PointId p : points)
+  const std::size_t n = instance.num_requests();
+  Candidates candidates;
+  candidates.list.reserve(points.size() * config_list.size());
+  candidates.distances.reserve(points.size() * n);
+  for (PointId p : points) {
+    const std::size_t row = candidates.distances.size();
+    for (const Request& r : instance.requests())
+      candidates.distances.push_back(
+          instance.metric().distance(r.location, p));
     for (const CommoditySet& config : config_list)
-      candidates.push_back(
-          Candidate{p, config, instance.cost().open_cost(p, config)});
+      candidates.list.push_back(
+          Candidate{p, config, instance.cost().open_cost(p, config), row});
+  }
   return candidates;
 }
 
@@ -82,14 +98,14 @@ struct StarEval {
   std::size_t prefix = 0;
 };
 
-StarEval evaluate_star(const Instance& instance, const Candidate& c,
+StarEval evaluate_star(const Candidates& candidates, const Candidate& c,
                        const std::vector<CommoditySet>& uncovered) {
   StarEval eval;
+  const double* distance = candidates.distances.data() + c.row;
   for (std::size_t i = 0; i < uncovered.size(); ++i) {
     const CommoditySet newly = uncovered[i] & c.config;
     if (newly.empty()) continue;
-    const double d = instance.metric().distance(
-        instance.request(static_cast<RequestId>(i)).location, c.point);
+    const double d = distance[i];
     const std::size_t covered = newly.count();
     eval.gains.push_back(
         StarEval::Gain{d / static_cast<double>(covered), d, covered, i});
@@ -120,8 +136,7 @@ OfflineSolution solve_greedy_star(const Instance& instance,
                                   const GreedyStarOptions& options) {
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_greedy_star: empty instance");
-  const std::vector<Candidate> candidates =
-      build_candidates(instance, options);
+  const Candidates candidates = build_candidates(instance, options);
 
   // Uncovered (request, commodity) pairs, tracked per request.
   std::vector<CommoditySet> uncovered;
@@ -139,16 +154,17 @@ OfflineSolution solve_greedy_star(const Instance& instance,
   using Entry = std::pair<double, std::size_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
   std::size_t round = 0;
-  std::vector<std::size_t> evaluated_in(candidates.size(), 0);
+  std::vector<std::size_t> evaluated_in(candidates.list.size(), 0);
   const auto fresh = [&](std::size_t c) { return evaluated_in[c] == round; };
   // Evaluates a candidate and queues it unless it covers nothing (then it
   // never will again: coverage only shrinks).
   const auto evaluate = [&](std::size_t c) {
-    const StarEval eval = evaluate_star(instance, candidates[c], uncovered);
+    const StarEval eval =
+        evaluate_star(candidates, candidates.list[c], uncovered);
     evaluated_in[c] = round;
     if (!eval.gains.empty()) queue.push({eval.ratio, c});
   };
-  for (std::size_t c = 0; c < candidates.size(); ++c) evaluate(c);
+  for (std::size_t c = 0; c < candidates.list.size(); ++c) evaluate(c);
 
   std::vector<PlacedFacility> opened;
   std::vector<Entry> near;
@@ -189,7 +205,7 @@ OfflineSolution solve_greedy_star(const Instance& instance,
     // exactly the chosen prefix's pairs. Requests beyond the prefix stay
     // open: covering them here would strand them on a distant facility
     // that was never priced for them.
-    const Candidate& best = candidates[top];
+    const Candidate& best = candidates.list[top];
     bool merged = false;
     for (PlacedFacility& f : opened) {
       if (f.point == best.point) {
@@ -199,7 +215,7 @@ OfflineSolution solve_greedy_star(const Instance& instance,
       }
     }
     if (!merged) opened.push_back(PlacedFacility{best.point, best.config});
-    const StarEval chosen = evaluate_star(instance, best, uncovered);
+    const StarEval chosen = evaluate_star(candidates, best, uncovered);
     for (std::size_t p = 0; p < chosen.prefix; ++p) {
       const std::size_t i = chosen.gains[p].request;
       const CommoditySet newly = uncovered[i] & best.config;

@@ -90,11 +90,25 @@ class SearchState {
   }
 
   /// Cost delta of dropping facility index fi (infinity if infeasible).
+  /// A request whose demand set misses the facility's configuration never
+  /// lists it as usable, so its DP table is unchanged and its cached cost
+  /// is reused; the sum runs in request order like
+  /// total_assignment_cost, infinity included.
   double drop_delta(std::size_t fi) const {
     std::vector<PlacedFacility> reduced = facilities_;
     reduced.erase(reduced.begin() + static_cast<std::ptrdiff_t>(fi));
-    const double connect =
-        total_assignment_cost(instance_, std::span(reduced));
+    const CommoditySet& dropped = facilities_[fi].config;
+    double connect = 0.0;
+    for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+      const Request& r = instance_.request(i);
+      const double c =
+          r.commodities.intersects(dropped)
+              ? optimal_assignment_cost(instance_.metric(),
+                                        std::span(reduced), r)
+              : dp_tables_[i].back();
+      if (!std::isfinite(c)) return kInfiniteDistance;
+      connect += c;
+    }
     if (!std::isfinite(connect)) return kInfiniteDistance;
     const double opening =
         opening_ - instance_.cost().open_cost(facilities_[fi].point,

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -351,6 +353,16 @@ Instance random_differential_instance(std::uint64_t seed) {
                   "differential");
 }
 
+/// verifier_checks of a certificate that passes: every constraint the
+/// dense sweep compared, (2^|S| − 1)·|M|, plus one audit check per point.
+std::uint64_t passing_checks(const Instance& instance,
+                             std::uint64_t exhaustive_checks) {
+  const std::size_t points = instance.metric().num_points();
+  EXPECT_EQ(exhaustive_checks,
+            ((std::uint64_t{1} << instance.num_commodities()) - 1) * points);
+  return exhaustive_checks + points;
+}
+
 /// Re-sums the objective so only dual feasibility (or the slack audit)
 /// can reject a tampered certificate.
 void refresh_objective(DualCertificate& cert) {
@@ -423,6 +435,10 @@ TEST(CertificateExhaustive, SparseSweepMatchesTheDenseReference) {
           EXPECT_EQ(verdict->find("dual constraint violated"),
                     std::string::npos)
               << "seed " << seed << ": " << *verdict;
+        } else {
+          EXPECT_EQ(counters.verifier_checks,
+                    passing_checks(instance, reference_checks))
+              << "seed " << seed;
         }
       }
     }
@@ -430,6 +446,190 @@ TEST(CertificateExhaustive, SparseSweepMatchesTheDenseReference) {
   // Both outcomes must be well represented, or the comparison is vacuous.
   EXPECT_GT(violations, 100u);
   EXPECT_GT(passes, 100u);
+}
+
+/// A cost model equal to `base` except at a few (point, configuration)
+/// pairs, where it returns the spike's value: a negative, an infinite or
+/// a NaN opening cost, which the checker must hand to its exact scan.
+/// open_cost_row is the base class's loop over open_cost.
+class SpikedCostModel final : public FacilityCostModel {
+ public:
+  struct Spike {
+    PointId point;
+    std::uint64_t mask;
+    double value;
+  };
+
+  SpikedCostModel(CostModelPtr base, std::vector<Spike> spikes)
+      : base_(std::move(base)), spikes_(std::move(spikes)) {}
+
+  CommodityId num_commodities() const noexcept override {
+    return base_->num_commodities();
+  }
+  double open_cost(PointId m, const CommoditySet& config) const override {
+    std::uint64_t mask = 0;
+    config.for_each([&](CommodityId e) { mask |= std::uint64_t{1} << e; });
+    for (const Spike& spike : spikes_)
+      if (spike.point == m && spike.mask == mask) return spike.value;
+    return base_->open_cost(m, config);
+  }
+  std::string description() const override { return "spiked"; }
+
+ private:
+  CostModelPtr base_;
+  std::vector<Spike> spikes_;
+};
+
+// The sparse sweep against the dense reference at universes of 9–16
+// commodities (a configuration's low and high bytes index the checker's
+// tables separately), with demand sets up to all of S (too large for a
+// subset-sum table, so those requests take the dense-row loop) and half
+// the requests at one hotspot point. Each certificate is also checked
+// against two spiked copies of the cost model: one with a negative, an
+// infinite and a NaN opening cost at random (point, configuration) pairs
+// of size 2 to |S| − 1, which must be reported exactly where the dense
+// sweep reports them, and one with +inf spikes only, which both must
+// pass. A passing certificate costs (2^|S| − 1)·|M| constraint checks
+// plus the audit's |M|.
+TEST(CertificateExhaustive, WideUniversesMatchTheDenseReference) {
+  constexpr double kTol = VerifyCertificateOptions{}.tolerance;
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::size_t violations = 0, passes = 0, spiked_violations = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed * 104729);
+    const CommodityId s = static_cast<CommodityId>(9 + rng.uniform_index(8));
+    const std::size_t points = 2 + rng.uniform_index(5);
+    std::vector<double> coords(points * 2);
+    for (double& c : coords) c = static_cast<double>(rng.uniform_index(4));
+    const MetricPtr metric =
+        std::make_shared<EuclideanMetric>(2, std::move(coords));
+    std::vector<double> multipliers(points);
+    for (double& f : multipliers) f = rng.uniform(0.5, 2.0);
+    const CostModelPtr cost = std::make_shared<PointScaledCostModel>(
+        std::make_shared<PolynomialCostModel>(s, rng.uniform(0.5, 2.0),
+                                              rng.uniform(2.0, 6.0)),
+        std::move(multipliers));
+    const PointId hotspot = static_cast<PointId>(rng.uniform_index(points));
+    std::vector<Request> requests(4 + rng.uniform_index(7));
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      requests[r].location =
+          r % 2 == 0 ? hotspot
+                     : static_cast<PointId>(rng.uniform_index(points));
+      const CommodityId size =
+          r % 3 == 0 ? s
+                     : static_cast<CommodityId>(1 + rng.uniform_index(s));
+      requests[r].commodities = sample_demand_set(s, size, 0.0, rng);
+    }
+    const Instance instance(metric, cost, requests, "wide");
+
+    std::vector<SpikedCostModel::Spike> spikes;
+    for (const double value : {-1.0, kInf, std::nan("")}) {
+      std::uint64_t mask = 0;
+      while (std::popcount(mask) < 2 || std::popcount(mask) >= int(s))
+        mask = rng.next_u64() & ((std::uint64_t{1} << s) - 1);
+      spikes.push_back({static_cast<PointId>(rng.uniform_index(points)),
+                        mask, value});
+    }
+    const Instance spiked(
+        metric, std::make_shared<SpikedCostModel>(cost, spikes), requests,
+        "spiked");
+    const Instance infinite(
+        metric,
+        std::make_shared<SpikedCostModel>(
+            cost, std::vector<SpikedCostModel::Spike>{spikes[1]}),
+        requests, "infinite");
+
+    const DualCertificate base = dual_ascent_lower_bound(instance).certificate;
+    std::vector<DualCertificate> certs = {base};
+    for (const double factor : {3.0, 12.0}) {
+      DualCertificate scaled = base;
+      for (std::vector<double>& row : scaled.duals)
+        for (double& a : row) a *= factor;
+      refresh_objective(scaled);
+      certs.push_back(std::move(scaled));
+    }
+    DualCertificate at_distance = base;
+    for (std::size_t r = 0; r < at_distance.duals.size(); ++r) {
+      std::vector<double>& row = at_distance.duals[r];
+      std::fill(row.begin(), row.end(), 0.0);
+      row[rng.uniform_index(row.size())] = instance.metric().distance(
+          requests[r].location,
+          static_cast<PointId>(rng.uniform_index(points)));
+    }
+    refresh_objective(at_distance);
+    certs.push_back(std::move(at_distance));
+
+    for (const DualCertificate& cert : certs) {
+      for (const Instance* checked : {&instance, &spiked, &infinite}) {
+        std::uint64_t reference_checks = 0;
+        const std::optional<std::string> reference =
+            dense_exhaustive_reference(*checked, cert, kTol,
+                                       reference_checks);
+        PerfCounters counters;
+        std::optional<std::string> verdict;
+        {
+          PerfScope scope(counters);
+          verdict = verify_certificate(*checked, cert);
+        }
+        if (reference) {
+          ++violations;
+          if (checked == &spiked) ++spiked_violations;
+          EXPECT_EQ(verdict, reference) << "seed " << seed;
+          EXPECT_EQ(counters.verifier_checks, reference_checks)
+              << "seed " << seed;
+          EXPECT_EQ(counters.distance_lookups, requests.size() * points)
+              << "seed " << seed;
+          continue;
+        }
+        ++passes;
+        if (verdict) {
+          EXPECT_EQ(verdict->find("dual constraint violated"),
+                    std::string::npos)
+              << "seed " << seed << ": " << *verdict;
+        } else {
+          EXPECT_EQ(counters.verifier_checks,
+                    passing_checks(*checked, reference_checks))
+              << "seed " << seed;
+        }
+      }
+    }
+    // The base certificate is feasible and its audit holds: it passes
+    // outright, +inf spikes included.
+    EXPECT_EQ(verify_certificate(instance, base), std::nullopt);
+    EXPECT_EQ(verify_certificate(infinite, base), std::nullopt);
+  }
+  EXPECT_GT(violations, 20u);
+  EXPECT_GT(passes, 20u);
+  EXPECT_GT(spiked_violations, 10u);
+}
+
+// A negative dual must not shrink a request's reach: with duals
+// (1000 + 5e-8, −1e-7) — the negative one inside the dual floor of 1e-6 —
+// the configuration {0} sums to 1000 + 5e-8 and reaches the point 1000
+// away, where opening {0} is free, by 5e-8 > the tolerance. The sum of
+// all duals falls short of that distance; only the sum of the positive
+// ones bounds every configuration's sum.
+TEST(CertificateExhaustive, NegativeDualsDoNotShrinkTheReach) {
+  const Instance instance(
+      std::make_shared<LineMetric>(std::vector<double>{0.0, 1000.0}),
+      std::make_shared<SpikedCostModel>(
+          std::make_shared<PolynomialCostModel>(2, 1.0, 2000.0),
+          std::vector<SpikedCostModel::Spike>{{1, 0b01, 0.0}}),
+      {make_request(0, 2, {0, 1})}, "negative-dual");
+  DualCertificate cert;
+  cert.num_requests = 1;
+  cert.num_commodities = 2;
+  cert.num_points = 2;
+  cert.duals = {{1000.0 + 5e-8, -1e-7}};
+  refresh_objective(cert);
+  cert.facility_slack = {0.0, 0.0};
+  std::uint64_t checks = 0;
+  const std::optional<std::string> reference = dense_exhaustive_reference(
+      instance, cert, VerifyCertificateOptions{}.tolerance, checks);
+  ASSERT_NE(reference, std::nullopt);
+  EXPECT_NE(reference->find("config {0}/2 at point 1"), std::string::npos)
+      << *reference;
+  EXPECT_EQ(verify_certificate(instance, cert), reference);
 }
 
 // Two requests at the near end of a six-point line (positions 0..5) with

@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bound/certificate.hpp"
@@ -375,12 +377,18 @@ StreamRunOptions checkpoint_options() {
   return options;
 }
 
+StreamRunOptions verified_checkpoint_options() {
+  StreamRunOptions options = checkpoint_options();
+  options.verify = true;
+  return options;
+}
+
 /// A real OMFLP-CKPT payload: a PD session snapshotted mid-stream,
 /// exactly as the serving engine checkpoints tenants.
-std::string valid_checkpoint() {
+std::string checkpoint_of(const StreamRunOptions& options) {
   PdOmflp pd;
   MaterializedEventSource source(checkpoint_stream());
-  StreamSession session(pd, source, checkpoint_options());
+  StreamSession session(pd, source, options);
   (void)session.step_batch();
   (void)session.step_batch();
   std::ostringstream os;
@@ -390,12 +398,22 @@ std::string valid_checkpoint() {
   return os.str();
 }
 
+std::string valid_checkpoint() { return checkpoint_of(checkpoint_options()); }
+
+/// A checkpoint of a verified PD session: it also carries the stream
+/// verifier's lines, so restoring it runs StreamVerifier::restore.
+std::string valid_verified_checkpoint() {
+  return checkpoint_of(verified_checkpoint_options());
+}
+
 /// Both consumers of a checkpoint payload: the non-throwing structural
 /// validator recovery trusts, and the full CkptReader restore path (a
-/// fresh PD session rebuilt from the bytes). A mutant is accepted only
-/// if both accept it; neither may crash or allocate from hostile counts
-/// (the sanitizer job turns either into a failure).
-ParseOutcome feed_checkpoint_readers(const std::string& text) {
+/// fresh PD session rebuilt from the bytes, with the options the payload
+/// was written under). A mutant is accepted only if both accept it;
+/// neither may crash or allocate from hostile counts (the sanitizer job
+/// turns either into a failure).
+ParseOutcome feed_checkpoint_readers_with(const std::string& text,
+                                          const StreamRunOptions& options) {
   ParseOutcome outcome = ParseOutcome::kAccepted;
   {
     if (!checkpoint_payload_valid(text)) outcome = ParseOutcome::kRejected;
@@ -405,12 +423,20 @@ ParseOutcome feed_checkpoint_readers(const std::string& text) {
     MaterializedEventSource source(checkpoint_stream());
     std::istringstream is(text);
     CkptReader reader(is);
-    StreamSession session(pd, source, checkpoint_options(), reader);
+    StreamSession session(pd, source, options, reader);
     reader.finish();
   } catch (const std::exception&) {
     outcome = ParseOutcome::kRejected;
   }
   return outcome;
+}
+
+ParseOutcome feed_checkpoint_readers(const std::string& text) {
+  return feed_checkpoint_readers_with(text, checkpoint_options());
+}
+
+ParseOutcome feed_verified_checkpoint_readers(const std::string& text) {
+  return feed_checkpoint_readers_with(text, verified_checkpoint_options());
 }
 
 /// FNV-1a 64, matching the writer's checksum; lets mutations re-seal a
@@ -440,6 +466,7 @@ std::string resealed(const std::string& text) {
 
 TEST(FuzzParsers, CheckpointMutationsNeverCrash) {
   run_corpus(valid_checkpoint(), feed_checkpoint_readers);
+  run_corpus(valid_verified_checkpoint(), feed_verified_checkpoint_readers);
 }
 
 TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
@@ -486,13 +513,11 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
 }
 
 TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
-  const std::string base = valid_checkpoint();
-  const std::vector<std::string> lines = split_lines(base);
-
   // The count-bearing header lines of a PD session snapshot: each
   // declares how many record lines follow. (Per-record lines carry
   // unconstrained ids and values; a huge *id* is legal, a huge *count*
-  // must fail against the lines actually present.)
+  // must fail against the lines actually present.) Only the verified
+  // session's payload has the verifier's line.
   const std::set<std::string> count_keys = {
       "larges",   "expiries",       "past",   "bid-rows",
       "offering-index", "ledger",   "seen",   "verifier-active"};
@@ -503,50 +528,40 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   // allocation (capped_reserve bounds the first reservation; growth is
   // paid per input line).
   std::size_t tampered = 0;
-  for (const char* huge :
-       {"18446744073709551615", "1099511627776",
-        "99999999999999999999999"}) {
-    for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-      const std::size_t space = lines[i].find(' ');
-      if (space == std::string::npos) continue;
-      if (count_keys.count(lines[i].substr(0, space)) == 0) continue;
-      const std::size_t digit =
-          lines[i].find_first_of("0123456789", space);
-      if (digit == std::string::npos) continue;
-      std::size_t end = digit;
-      while (end < lines[i].size() &&
-             std::isdigit(static_cast<unsigned char>(lines[i][end])))
-        ++end;
-      std::vector<std::string> t = lines;
-      t[i] = lines[i].substr(0, digit) + huge + lines[i].substr(end);
-      EXPECT_EQ(feed_checkpoint_readers(resealed(join_lines(t))),
-                ParseOutcome::kRejected)
-          << "line " << i << " [" << lines[i] << "] count -> " << huge;
-      ++tampered;
+  std::map<std::string, std::size_t> tampered_by_key;
+  const std::pair<std::string, ParseOutcome (*)(const std::string&)>
+      corpora[] = {{valid_checkpoint(), feed_checkpoint_readers},
+                   {valid_verified_checkpoint(),
+                    feed_verified_checkpoint_readers}};
+  for (const auto& [base, feed] : corpora) {
+    const std::vector<std::string> lines = split_lines(base);
+    for (const char* huge :
+         {"18446744073709551615", "1099511627776",
+          "99999999999999999999999"}) {
+      for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
+        const std::size_t space = lines[i].find(' ');
+        if (space == std::string::npos) continue;
+        const std::string key = lines[i].substr(0, space);
+        if (count_keys.count(key) == 0) continue;
+        const std::size_t digit =
+            lines[i].find_first_of("0123456789", space);
+        if (digit == std::string::npos) continue;
+        std::size_t end = digit;
+        while (end < lines[i].size() &&
+               std::isdigit(static_cast<unsigned char>(lines[i][end])))
+          ++end;
+        std::vector<std::string> t = lines;
+        t[i] = lines[i].substr(0, digit) + huge + lines[i].substr(end);
+        EXPECT_EQ(feed(resealed(join_lines(t))), ParseOutcome::kRejected)
+            << "line " << i << " [" << lines[i] << "] count -> " << huge;
+        ++tampered;
+        ++tampered_by_key[key];
+      }
     }
   }
   EXPECT_GT(tampered, 10u) << "corpus barely exercised the count paths";
-}
-
-StreamRunOptions verified_checkpoint_options() {
-  StreamRunOptions options = checkpoint_options();
-  options.verify = true;
-  return options;
-}
-
-/// A checkpoint of a verified PD session: it carries the stream
-/// verifier's lines, which the default corpus does not.
-std::string valid_verified_checkpoint() {
-  PdOmflp pd;
-  MaterializedEventSource source(checkpoint_stream());
-  StreamSession session(pd, source, verified_checkpoint_options());
-  (void)session.step_batch();
-  (void)session.step_batch();
-  std::ostringstream os;
-  CkptWriter writer(os);
-  session.checkpoint(writer);
-  writer.finish();
-  return os.str();
+  EXPECT_GT(tampered_by_key["verifier-active"], 0u)
+      << "the verifier's count line was never tampered";
 }
 
 /// Restores a verified session from `text` and checkpoints it again.

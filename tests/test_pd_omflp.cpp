@@ -133,7 +133,8 @@ TEST(PdOmflp, PredictionOffNeverOpensLarge) {
   Theorem2Config cfg;
   cfg.num_commodities = 64;
   const Instance inst = make_theorem2_instance(cfg, rng);
-  PdOmflp pd{PdOptions{.prediction = PdOptions::Prediction::kOff}};
+  PdOmflp pd{PdOptions{.prediction = PdOptions::Prediction::kOff,
+                       .excluded_from_prediction = {}}};
   const SolutionLedger ledger = run_online(pd, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   EXPECT_EQ(ledger.num_small_facilities(), 8u);
@@ -164,9 +165,11 @@ TEST_P(PdEquivalence, ReferenceAndIncrementalBidsAgree) {
   const Instance inst =
       random_line_instance(GetParam(), 12, 40, 6, 4);
 
-  PdOmflp reference{PdOptions{.bid_mode = PdOptions::BidMode::kReference}};
+  PdOmflp reference{PdOptions{.bid_mode = PdOptions::BidMode::kReference,
+                              .excluded_from_prediction = {}}};
   PdOmflp incremental{
-      PdOptions{.bid_mode = PdOptions::BidMode::kIncremental}};
+      PdOptions{.bid_mode = PdOptions::BidMode::kIncremental,
+                .excluded_from_prediction = {}}};
   const SolutionLedger lr = run_online(reference, inst);
   const SolutionLedger li = run_online(incremental, inst);
 
@@ -239,7 +242,8 @@ TEST_P(PdInvariants, DualsAreNonNegativeAndPerRequest) {
 TEST_P(PdInvariants, SeenUnionVariantProducesValidSolutions) {
   const Instance inst = random_line_instance(GetParam() * 17 + 3, 10, 40, 6, 3);
   PdOmflp pd{
-      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion}};
+      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion,
+                .excluded_from_prediction = {}}};
   const SolutionLedger ledger = run_online(pd, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   // Seen-union large facilities are never larger than S and never smaller
@@ -254,7 +258,8 @@ TEST_P(PdInvariants, SeenUnionNeverCostsMoreOpeningThanFullS) {
   // most as expensive (monotone costs). Check the bookkeeping holds.
   const Instance inst = random_line_instance(GetParam() * 29 + 5, 8, 30, 5, 3);
   PdOmflp seen{
-      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion}};
+      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion,
+                .excluded_from_prediction = {}}};
   const SolutionLedger ledger = run_online(seen, inst);
   for (const auto& f : ledger.facilities()) {
     if (f.config.count() > 1) {
@@ -279,9 +284,12 @@ TEST_P(PdAudit, InternalStateConsistentAfterEveryRun) {
                                              5, 3);
   const PdOptions configs[] = {
       PdOptions{},
-      PdOptions{.bid_mode = PdOptions::BidMode::kReference},
-      PdOptions{.prediction = PdOptions::Prediction::kOff},
-      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion},
+      PdOptions{.bid_mode = PdOptions::BidMode::kReference,
+                .excluded_from_prediction = {}},
+      PdOptions{.prediction = PdOptions::Prediction::kOff,
+                .excluded_from_prediction = {}},
+      PdOptions{.large_config = PdOptions::LargeConfig::kSeenUnion,
+                .excluded_from_prediction = {}},
   };
   for (const PdOptions& options : configs) {
     PdOmflp pd{options};
@@ -323,14 +331,13 @@ TEST(PdOmflp, ServeBeforeResetThrows) {
 
 TEST(PdOmflp, NameReflectsOptions) {
   EXPECT_EQ(PdOmflp{}.name(), "PD-OMFLP");
-  EXPECT_NE(PdOmflp{PdOptions{.bid_mode = PdOptions::BidMode::kReference}}
-                .name()
-                .find("reference"),
-            std::string::npos);
-  EXPECT_NE(PdOmflp{PdOptions{.prediction = PdOptions::Prediction::kOff}}
-                .name()
-                .find("no-prediction"),
-            std::string::npos);
+  const PdOmflp reference{PdOptions{.bid_mode = PdOptions::BidMode::kReference,
+                                    .excluded_from_prediction = {}}};
+  EXPECT_NE(reference.name().find("reference"), std::string::npos);
+  const PdOmflp no_prediction{
+      PdOptions{.prediction = PdOptions::Prediction::kOff,
+                .excluded_from_prediction = {}}};
+  EXPECT_NE(no_prediction.name().find("no-prediction"), std::string::npos);
 }
 
 TEST(PdOmflp, ResetClearsState) {

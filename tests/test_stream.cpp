@@ -315,7 +315,7 @@ TEST(PdDeletion, RollbackKeepsBidModesIdenticalAndAuditClean) {
       {{"events", 512}, {"points", 24}, {"commodities", 6}});
 
   auto run = [&](PdOptions::BidMode mode) {
-    PdOmflp pd(PdOptions{.bid_mode = mode});
+    PdOmflp pd(PdOptions{.bid_mode = mode, .excluded_from_prediction = {}});
     StreamRunOptions options;
     options.verify = true;
     options.compact = false;
@@ -347,7 +347,8 @@ TEST(PdDeletion, RollbackAndFrozenDiverge) {
       {{"events", 512}, {"points", 32}, {"commodities", 6},
        {"churn", 0.5}});
   auto run = [&](PdOptions::DeletionPolicy policy) {
-    PdOmflp pd(PdOptions{.deletion_policy = policy});
+    PdOmflp pd(PdOptions{.deletion_policy = policy,
+                         .excluded_from_prediction = {}});
     StreamRunOptions options;
     options.verify = true;
     StreamRunResult result = run_stream(pd, stream, options);
@@ -398,7 +399,9 @@ TEST(PdDeletion, DerivedDualViewsReportRolledBackZeros) {
     double sum = 0.0;
     for (RequestId r = 0; r < records.size(); ++r) {
       for (const double a : records[r].duals) {
-        if (departed(result, r)) EXPECT_EQ(a, 0.0) << "request " << r;
+        if (departed(result, r)) {
+          EXPECT_EQ(a, 0.0) << "request " << r;
+        }
         sum += a;
       }
       num_departed += departed(result, r) ? 1 : 0;
