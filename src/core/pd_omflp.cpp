@@ -1,6 +1,7 @@
 #include "core/pd_omflp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -43,8 +44,10 @@ void PdOmflp::reset(const ProblemContext& context) {
   num_commodities_ = cost_->num_commodities();
   num_points_ = dist_->num_points();
 
-  offering_.assign(num_commodities_, {});
+  index_.reset(static_cast<std::size_t>(num_commodities_) + 1, dist_.get());
   larges_.clear();
+  universal_rank_.clear();
+  nonuniversal_larges_.clear();
   seen_ = CommoditySet(num_commodities_);
   if (options_.excluded_from_prediction.universe_size() == 0) {
     excluded_ = CommoditySet(num_commodities_);
@@ -54,7 +57,9 @@ void PdOmflp::reset(const ProblemContext& context) {
                   "PdOmflp: excluded_from_prediction universe mismatch");
     excluded_ = options_.excluded_from_prediction;
   }
+  universal_config_ = CommoditySet::full_set(num_commodities_) - excluded_;
   past_.clear();
+  slots_.clear();
   by_commodity_.assign(num_commodities_, {});
   large_row_ = num_commodities_;
   bids_.reset(num_commodities_ + 1, num_points_);
@@ -94,19 +99,26 @@ CommoditySet PdOmflp::current_large_config() const {
 
 std::pair<double, FacilityId> PdOmflp::nearest_large(
     PointId p, const CommoditySet& eligible_demand) const {
-  OMFLP_PERF_ADD(facilities_probed, larges_.size());
-  if (larges_.empty()) return {kInfiniteDistance, kInvalidFacility};
-  const double* dist_p = dist_->row(p);
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
+  const NearestFacilityIndex::Nearest hit =
+      index_.nearest(universal_group(), p);
+  double best = hit.distance;
+  FacilityId best_id = hit.id;
+  std::uint32_t best_rank = hit.id == kInvalidFacility
+                                ? NearestFacilityIndex::kNone
+                                : universal_rank_[hit.position];
+  OMFLP_PERF_ADD(facilities_probed, nonuniversal_larges_.size());
   std::size_t probed = 0;
-  for (const LargeRecord& lf : larges_) {
+  for (const std::uint32_t rank : nonuniversal_larges_) {
+    const LargeRecord& lf = larges_[rank];
     if (!eligible_demand.is_subset_of(lf.config)) continue;
     ++probed;
-    const double d = dist_p[lf.point];
-    if (d < best) {
+    const double d = dist_->at(p, lf.point);
+    // The scan over larges_ keeps the first record at minimal distance.
+    if (d < best ||
+        (d == best && best_id != kInvalidFacility && rank < best_rank)) {
       best = d;
       best_id = lf.id;
+      best_rank = rank;
     }
   }
   OMFLP_PERF_ADD(distance_lookups, probed);
@@ -115,14 +127,16 @@ std::pair<double, FacilityId> PdOmflp::nearest_large(
 
 std::pair<double, FacilityId> PdOmflp::nearest_offering(CommodityId e,
                                                         PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, offering_[e].size());
-  if (offering_[e].empty()) return {kInfiniteDistance, kInvalidFacility};
-  OMFLP_PERF_ADD(distance_lookups, offering_[e].size());
-  const double* dist_p = dist_->row(p);
+  const NearestFacilityIndex::Nearest hit = index_.nearest(e, p);
+  return {hit.distance, hit.id};
+}
+
+std::pair<double, FacilityId> PdOmflp::scan_nearest_offering(
+    CommodityId e, PointId p) const {
   double best = kInfiniteDistance;
   FacilityId best_id = kInvalidFacility;
-  for (const OpenRecord& f : offering_[e]) {
-    const double d = dist_p[f.point];
+  for (const NearestFacilityIndex::Entry& f : index_.facilities(e)) {
+    const double d = dist_->at(p, f.point);
     if (d < best) {
       best = d;
       best_id = f.id;
@@ -131,12 +145,39 @@ std::pair<double, FacilityId> PdOmflp::nearest_offering(CommodityId e,
   return {best, best_id};
 }
 
+std::pair<double, FacilityId> PdOmflp::scan_nearest_large(
+    PointId p, const CommoditySet& eligible_demand) const {
+  double best = kInfiniteDistance;
+  FacilityId best_id = kInvalidFacility;
+  for (const LargeRecord& lf : larges_) {
+    if (!eligible_demand.is_subset_of(lf.config)) continue;
+    const double d = dist_->at(p, lf.point);
+    if (d < best) {
+      best = d;
+      best_id = lf.id;
+    }
+  }
+  return {best, best_id};
+}
+
+void PdOmflp::register_large() {
+  const auto rank = static_cast<std::uint32_t>(larges_.size() - 1);
+  const LargeRecord& lf = larges_.back();
+  if (universal_config_.is_subset_of(lf.config)) {
+    index_.add(universal_group(), lf.point, lf.id);
+    universal_rank_.push_back(rank);
+  } else {
+    nonuniversal_larges_.push_back(rank);
+  }
+}
+
 void PdOmflp::recompute_small_bid_row(CommodityId e,
                                       std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
   if (by_commodity_[e].empty()) return;
-  OMFLP_PERF_ADD(distance_lookups,
-                 by_commodity_[e].size() * offering_[e].size());
+  const std::span<const NearestFacilityIndex::Entry> offering =
+      index_.facilities(e);
+  OMFLP_PERF_ADD(distance_lookups, by_commodity_[e].size() * offering.size());
   for (const auto& [j, slot] : by_commodity_[e]) {
     const PastRequest& pr = past_[j];
     if (pr.departed) continue;  // rolled back: zero duals, no bid
@@ -146,12 +187,12 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
     const double* dist_j = nullptr;
     // d(F(e), j) from first principles: scan every facility offering e.
     double dist_e = kInfiniteDistance;
-    if (!offering_[e].empty()) {
+    if (!offering.empty()) {
       dist_j = dist_->row(pr.location);
-      for (const OpenRecord& f : offering_[e])
+      for (const NearestFacilityIndex::Entry& f : offering)
         dist_e = std::min(dist_e, dist_j[f.point]);
     }
-    const double v = std::min(pr.duals[slot], dist_e);
+    const double v = std::min(slots_[pr.first_slot + slot].dual, dist_e);
     if (v <= 0.0) continue;
     if (dist_j == nullptr) dist_j = dist_->row(pr.location);
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
@@ -170,9 +211,9 @@ void PdOmflp::recompute_large_bid_row(std::vector<double>& out) const {
     std::size_t probed = 0;
     for (const LargeRecord& lf : larges_) {
       bool covers = true;
-      for (CommodityId e : pr.commodities) {
-        if (excluded_.contains(e)) continue;
-        if (!lf.config.contains(e)) {
+      for (const PastSlot& ps : slots_of(pr)) {
+        if (excluded_.contains(ps.commodity)) continue;
+        if (!lf.config.contains(ps.commodity)) {
           covers = false;
           break;
         }
@@ -222,17 +263,18 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   is_large = is_large || config.is_full();
 
   config.for_each([&](CommodityId e) {
-    offering_[e].push_back(OpenRecord{point, id});
+    index_.add(e, point, id);
     for (const auto& [j, slot] : by_commodity_[e]) {
-      PastRequest& pr = past_[j];
+      const PastRequest& pr = past_[j];
       // A rolled-back slot has zero duals: no bid to shift, and no
       // future use for its distance.
       if (pr.departed) continue;
+      PastSlot& ps = slots_[pr.first_slot + slot];
       const double d_new = (*dist_)(point, pr.location);
-      if (d_new >= pr.small_dist[slot]) continue;
+      if (d_new >= ps.small_dist) continue;
       if (incremental) {
-        const double v_old = std::min(pr.duals[slot], pr.small_dist[slot]);
-        const double v_new = std::min(pr.duals[slot], d_new);
+        const double v_old = std::min(ps.dual, ps.small_dist);
+        const double v_new = std::min(ps.dual, d_new);
         if (v_new < v_old && v_old > 0.0 && bids_.active(e)) {
           OMFLP_PERF_ADD(bids_updated, num_points_);
           OMFLP_PERF_ADD(distance_lookups, num_points_);
@@ -240,18 +282,19 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
                                     v_old, v_new, num_points_);
         }
       }
-      pr.small_dist[slot] = d_new;
+      ps.small_dist = d_new;
     }
   });
 
   if (!is_large) return;
   larges_.push_back(LargeRecord{point, id, config});
+  register_large();
   for (PastRequest& pr : past_) {
     if (pr.departed) continue;
     bool covers = true;
-    for (CommodityId e : pr.commodities) {
-      if (excluded_.contains(e)) continue;
-      if (!config.contains(e)) {
+    for (const PastSlot& ps : slots_of(pr)) {
+      if (excluded_.contains(ps.commodity)) continue;
+      if (!config.contains(ps.commodity)) {
         covers = false;
         break;
       }
@@ -275,20 +318,20 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
 }
 
 void PdOmflp::archive_request(RequestId id, const Request& request,
-                              const std::vector<CommodityId>& commodities,
-                              const std::vector<double>& duals) {
+                              std::span<const CommodityId> commodities,
+                              std::span<const double> duals) {
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
 
   PastRequest pr;
   pr.id = id;
   pr.location = request.location;
-  pr.commodities = commodities;
-  pr.duals = duals;
-  pr.small_dist.resize(commodities.size());
+  pr.num_slots = static_cast<std::uint32_t>(commodities.size());
+  pr.first_slot = slots_.size();
   for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
-    pr.small_dist[slot] =
-        nearest_offering(commodities[slot], request.location).first;
+    slots_.push_back(PastSlot{
+        commodities[slot], duals[slot],
+        nearest_offering(commodities[slot], request.location).first});
     if (!excluded_.contains(commodities[slot]))
       pr.dual_sum_large += duals[slot];
   }
@@ -301,7 +344,8 @@ void PdOmflp::archive_request(RequestId id, const Request& request,
     by_commodity_[commodities[slot]].emplace_back(
         j, static_cast<std::uint32_t>(slot));
     if (incremental) {
-      const double v = std::min(pr.duals[slot], pr.small_dist[slot]);
+      const double v =
+          std::min(duals[slot], slots_[pr.first_slot + slot].small_dist);
       if (v > 0.0) {
         double* row = bids_.activate(commodities[slot]);
         OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -321,7 +365,7 @@ void PdOmflp::archive_request(RequestId id, const Request& request,
                                      num_points_);
     }
   }
-  past_.push_back(std::move(pr));
+  past_.push_back(pr);
   for (double a : duals) total_dual_ += a;
 
   if (obs::tracing()) {
@@ -358,9 +402,9 @@ void PdOmflp::depart(RequestId id, const Request& request,
   // shifting, so shifting it to zero removes the request from the row.
   double withdrawn = 0.0;     // bid mass leaving the rows
   double dual_removed = 0.0;  // dual objective leaving total_dual_
-  for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
-    const CommodityId e = pr.commodities[slot];
-    const double v = std::min(pr.duals[slot], pr.small_dist[slot]);
+  for (PastSlot& ps : slots_of(pr)) {
+    const CommodityId e = ps.commodity;
+    const double v = std::min(ps.dual, ps.small_dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0 && bids_.active(e)) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -368,9 +412,9 @@ void PdOmflp::depart(RequestId id, const Request& request,
       kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location), v,
                                 0.0, num_points_);
     }
-    total_dual_ -= pr.duals[slot];
-    dual_removed += pr.duals[slot];
-    pr.duals[slot] = 0.0;
+    total_dual_ -= ps.dual;
+    dual_removed += ps.dual;
+    ps.dual = 0.0;
   }
   if (prediction_enabled()) {
     const double v = std::min(pr.dual_sum_large, pr.large_dist);
@@ -401,42 +445,105 @@ void PdOmflp::depart(RequestId id, const Request& request,
 
 void PdOmflp::index_by_commodity() {
   for (auto& entries : by_commodity_) entries.clear();  // keeps capacity
-  for (std::size_t j = 0; j < past_.size(); ++j)
-    for (std::size_t slot = 0; slot < past_[j].commodities.size(); ++slot)
-      by_commodity_[past_[j].commodities[slot]].emplace_back(
+  for (std::size_t j = 0; j < past_.size(); ++j) {
+    const std::span<const PastSlot> slots = slots_of(past_[j]);
+    for (std::size_t slot = 0; slot < slots.size(); ++slot)
+      by_commodity_[slots[slot].commodity].emplace_back(
           j, static_cast<std::uint32_t>(slot));
+  }
 }
 
 void PdOmflp::compact_departed() {
   if (options_.deletion_policy == PdOptions::DeletionPolicy::kFrozen) return;
-  if (std::erase_if(past_, [](const PastRequest& pr) { return pr.departed; }))
-    index_by_commodity();
+  // Stable in-place compaction of past_ and of its slots: survivors only
+  // move towards the front, so no copy overwrites an unread slot.
+  std::size_t kept = 0;
+  std::size_t kept_slots = 0;
+  for (PastRequest& pr : past_) {
+    if (pr.departed) continue;
+    if (pr.first_slot != kept_slots) {
+      const auto from =
+          slots_.begin() + static_cast<std::ptrdiff_t>(pr.first_slot);
+      std::copy(from, from + pr.num_slots,
+                slots_.begin() + static_cast<std::ptrdiff_t>(kept_slots));
+      pr.first_slot = kept_slots;
+    }
+    kept_slots += pr.num_slots;
+    past_[kept++] = pr;
+  }
+  if (kept == past_.size()) return;
+  past_.resize(kept);
+  slots_.resize(kept_slots);
+  // Hand back what a long batch or a burst left behind, as the
+  // per-request allocations of departed requests used to be: capacity
+  // stays within 4x of the live set, so steady-state serving keeps its
+  // buffers and the state does not stay history-sized.
+  if (past_.capacity() > 4 * past_.size()) past_.shrink_to_fit();
+  if (slots_.capacity() > 4 * slots_.size()) slots_.shrink_to_fit();
+  index_by_commodity();
 }
 
 std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
   if (cost_ == nullptr) return std::nullopt;  // never reset: nothing to audit
   std::ostringstream os;
 
+  // 0. The nearest-facility index vs fresh scans at every point: the same
+  //    facility and bitwise the same distance. Large queries run for each
+  //    distinct eligible demand of a live request, so the merge with the
+  //    scanned non-universal larges is covered too.
+  const auto same = [](const std::pair<double, FacilityId>& x,
+                       const std::pair<double, FacilityId>& y) {
+    return x.second == y.second && std::bit_cast<std::uint64_t>(x.first) ==
+                                       std::bit_cast<std::uint64_t>(y.first);
+  };
+  for (CommodityId e = 0; e < num_commodities_; ++e) {
+    if (index_.facilities(e).empty()) continue;
+    for (PointId m = 0; m < num_points_; ++m) {
+      if (!same(nearest_offering(e, m), scan_nearest_offering(e, m))) {
+        os << "nearest-facility index disagrees with the scan for e=" << e
+           << " at m=" << m;
+        return os.str();
+      }
+    }
+  }
+  std::vector<CommoditySet> demands;
+  for (const PastRequest& pr : past_) {
+    if (pr.departed || larges_.empty()) continue;
+    CommoditySet eligible(num_commodities_);
+    for (const PastSlot& ps : slots_of(pr))
+      if (!excluded_.contains(ps.commodity)) eligible.add(ps.commodity);
+    if (std::find(demands.begin(), demands.end(), eligible) != demands.end())
+      continue;
+    for (PointId m = 0; m < num_points_; ++m) {
+      if (!same(nearest_large(m, eligible), scan_nearest_large(m, eligible))) {
+        os << "nearest-large index disagrees with the scan at m=" << m
+           << " for request " << pr.id << "'s demand";
+        return os.str();
+      }
+    }
+    demands.push_back(std::move(eligible));
+  }
+
   // 1. Maintained nearest-facility distances vs fresh scans.
   for (const PastRequest& pr : past_) {
     if (pr.departed) continue;  // rolled back: distances no longer kept
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
+    const std::span<const PastSlot> slots = slots_of(pr);
+    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+      const double maintained = slots[slot].small_dist;
       const double fresh =
-          nearest_offering(pr.commodities[slot], pr.location).first;
+          scan_nearest_offering(slots[slot].commodity, pr.location).first;
       const bool both_infinite =
-          !std::isfinite(fresh) && !std::isfinite(pr.small_dist[slot]);
-      if (!both_infinite &&
-          std::abs(fresh - pr.small_dist[slot]) > tolerance) {
+          !std::isfinite(fresh) && !std::isfinite(maintained);
+      if (!both_infinite && std::abs(fresh - maintained) > tolerance) {
         os << "stale small_dist for request " << pr.id << " slot " << slot
-           << ": maintained " << pr.small_dist[slot] << " vs fresh "
-           << fresh;
+           << ": maintained " << maintained << " vs fresh " << fresh;
         return os.str();
       }
     }
     CommoditySet demand(num_commodities_);
-    for (CommodityId e : pr.commodities) demand.add(e);
+    for (const PastSlot& ps : slots) demand.add(ps.commodity);
     const double fresh_large =
-        nearest_large(pr.location, demand - excluded_).first;
+        scan_nearest_large(pr.location, demand - excluded_).first;
     const bool both_infinite =
         !std::isfinite(fresh_large) && !std::isfinite(pr.large_dist);
     if (!both_infinite && std::abs(fresh_large - pr.large_dist) > tolerance) {
@@ -508,19 +615,26 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   // The kSeenUnion prediction set includes the current request's demands.
   seen_ |= request.commodities;
 
-  const std::vector<CommodityId> commodities =
-      request.commodities.to_vector();
+  // Per-slot round state lives in round_ (reused, so a steady-state
+  // serve() allocates nothing while tracing is off).
+  std::vector<CommodityId>& commodities = round_.commodities;
+  commodities.clear();
+  request.commodities.for_each(
+      [&](CommodityId e) { commodities.push_back(e); });
   const std::size_t k = commodities.size();
 
-  std::vector<double> a(k, 0.0);
-  std::vector<bool> served(k, false);
+  std::vector<double>& a = round_.a;
+  a.assign(k, 0.0);
+  std::vector<std::uint8_t>& served = round_.served;
+  served.assign(k, 0);
   std::size_t unserved = k;
   double raised = 0.0;
 
   // Eligibility for the large-facility constraints (2)/(4): every slot in
   // the paper's algorithm, everything outside the excluded set in the §5
   // heavy-commodity variant.
-  std::vector<bool> eligible(k, false);
+  std::vector<std::uint8_t>& eligible = round_.eligible;
+  eligible.assign(k, 0);
   std::size_t unserved_eligible = 0;
   for (std::size_t slot = 0; slot < k; ++slot) {
     eligible[slot] = !excluded_.contains(commodities[slot]);
@@ -530,8 +644,10 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   double sum_eligible = 0.0;  // Σ a_re over eligible slots (frozen or not)
 
   // Round-start snapshots; permanent facilities do not change mid-round.
-  std::vector<double> dist1(k);
-  std::vector<FacilityId> fac1(k);
+  std::vector<double>& dist1 = round_.dist1;
+  std::vector<FacilityId>& fac1 = round_.fac1;
+  dist1.resize(k);
+  fac1.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot) {
     const auto [d, id] = nearest_offering(commodities[slot], loc);
     dist1[slot] = d;
@@ -550,8 +666,10 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   if (ref_bid_scratch_.size() < k) ref_bid_scratch_.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot)
     ensure_singleton_cost_row(commodities[slot]);
-  std::vector<const double*> f_small(k);
-  std::vector<const double*> bids_small(k);
+  std::vector<const double*>& f_small = round_.f_small;
+  std::vector<const double*>& bids_small = round_.bids_small;
+  f_small.resize(k);
+  bids_small.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot) {
     const CommodityId e = commodities[slot];
     f_small[slot] = cost_rows_.row(e);
@@ -596,9 +714,12 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   }
 
   // Round outcome.
-  std::vector<PointId> temp_point(k, kInvalidPoint);  // constraint (3)
-  std::vector<bool> via_existing(k, false);           // constraint (1)
-  std::vector<bool> via_large(k, false);              // constraints (2)/(4)
+  std::vector<PointId>& temp_point = round_.temp_point;
+  temp_point.assign(k, kInvalidPoint);
+  std::vector<std::uint8_t>& via_existing = round_.via_existing;
+  via_existing.assign(k, 0);
+  std::vector<std::uint8_t>& via_large = round_.via_large;
+  via_large.assign(k, 0);
   FacilityId large_serving = kInvalidFacility;        // existing (2)
   PointId new_large_point = kInvalidPoint;            // new (4)
   bool opened_large = false;
@@ -694,9 +815,9 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
       for (std::size_t slot = 0; slot < k; ++slot) {
         if (!eligible[slot]) continue;
         if (!served[slot]) --unserved;
-        served[slot] = true;
-        via_large[slot] = true;
-        via_existing[slot] = false;
+        served[slot] = 1;
+        via_large[slot] = 1;
+        via_existing[slot] = 0;
         temp_point[slot] = kInvalidPoint;
       }
       unserved_eligible = 0;
@@ -719,14 +840,14 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         break;
       }
       case 2: {  // (1) — serve e by the nearest existing facility.
-        served[best.slot] = true;
-        via_existing[best.slot] = true;
+        served[best.slot] = 1;
+        via_existing[best.slot] = 1;
         --unserved;
         if (eligible[best.slot]) --unserved_eligible;
         break;
       }
       case 3: {  // (3) — temporarily open a small facility {e} at m.
-        served[best.slot] = true;
+        served[best.slot] = 1;
         temp_point[best.slot] = best.point;
         if (tracing) {
           traced_bid_mass[best.slot] = bids_small[best.slot][best.point];
@@ -744,13 +865,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   // Commit the round's decisions to the ledger; temporary facilities are
   // discarded when the round ended through (2)/(4) (lines 8-9 of
   // Algorithm 1), otherwise they become permanent (line 10).
-  struct NewFacility {
-    PointId point;
-    CommoditySet config;
-    FacilityId id;
-    bool is_large;
-  };
-  std::vector<NewFacility> committed;
+  std::vector<NewFacility>& committed = round_.committed;
+  committed.clear();
 
   // facility_open trace events, emitted at commit with the decision-time
   // bid/tightness captures. Contributor lists are rebuilt from the
@@ -773,7 +889,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     const double* dist_m = dist_->row(temp_point[slot]);
     for (const auto& [j, pslot] : by_commodity_[commodities[slot]]) {
       const PastRequest& pr = past_[j];
-      const double v = std::min(pr.duals[pslot], pr.small_dist[pslot]);
+      const PastSlot& ps = slots_[pr.first_slot + pslot];
+      const double v = std::min(ps.dual, ps.small_dist);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr.location]);
       if (amount > 0.0) contribs.push_back(TraceContributor{pr.id, amount});
@@ -845,9 +962,15 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
 std::vector<PdDualRecord> PdOmflp::dual_records() const {
   std::vector<PdDualRecord> records;
   records.reserve(past_.size());
-  for (const PastRequest& pr : past_)
-    records.push_back(
-        PdDualRecord{pr.id, pr.location, pr.commodities, pr.duals});
+  for (const PastRequest& pr : past_) {
+    PdDualRecord& record = records.emplace_back();
+    record.id = pr.id;
+    record.location = pr.location;
+    for (const PastSlot& ps : slots_of(pr)) {
+      record.commodities.push_back(ps.commodity);
+      record.duals.push_back(ps.dual);
+    }
+  }
   return records;
 }
 
@@ -876,10 +999,13 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
       .tok(large_config_tag(options_.large_config))
       .tok(deletion_tag(options_.deletion_policy))
       .set(excluded_);
-  writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_) {
+  writer.line("offering-index").u(num_commodities_);
+  for (CommodityId e = 0; e < num_commodities_; ++e) {
+    const std::span<const NearestFacilityIndex::Entry> row =
+        index_.facilities(e);
     writer.line("offering").u(row.size());
-    for (const OpenRecord& f : row) writer.u(f.point).u(f.id);
+    for (const NearestFacilityIndex::Entry& f : row)
+      writer.u(f.point).u(f.id);
   }
   writer.line("larges").u(larges_.size());
   for (const LargeRecord& f : larges_)
@@ -890,15 +1016,16 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
     writer.line("past-request")
         .u(pr.id)
         .u(pr.location)
-        .u(pr.commodities.size())
+        .u(pr.num_slots)
         .d(pr.large_dist)
         .b(pr.departed);
+    const std::span<const PastSlot> slots = slots_of(pr);
     writer.line("past-commodities");
-    for (const CommodityId e : pr.commodities) writer.u(e);
+    for (const PastSlot& ps : slots) writer.u(ps.commodity);
     writer.line("past-duals");
-    for (const double a : pr.duals) writer.d(a);
+    for (const PastSlot& ps : slots) writer.d(ps.dual);
     writer.line("past-small-dist");
-    for (const double d : pr.small_dist) writer.d(d);
+    for (const PastSlot& ps : slots) writer.d(ps.small_dist);
   }
   // Incremental bid rows, bitwise, in canonical (row id) order — slot
   // order inside the arena is an activation-history artifact that never
@@ -924,18 +1051,20 @@ void PdOmflp::restore_state(CkptReader& reader) {
     reader.fail("checkpoint was written by a different PD-OMFLP variant");
   if (!(reader.set() == excluded_))
     reader.fail("checkpoint excluded-commodity set mismatch");
+  // reset() left every nearest-facility table unmaterialized: the lists
+  // are re-added here and each table is rebuilt on its group's first
+  // query.
   reader.expect("offering-index");
-  if (reader.u() != offering_.size())
+  if (reader.u() != num_commodities_)
     reader.fail("offering index universe mismatch");
-  for (auto& row : offering_) {
+  for (CommodityId e = 0; e < num_commodities_; ++e) {
     reader.expect("offering");
     const std::uint64_t n = reader.u();
-    row.reserve(capped_reserve(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-      OpenRecord f;
-      f.point = static_cast<PointId>(reader.u());
-      f.id = static_cast<FacilityId>(reader.u());
-      row.push_back(f);
+      const auto point = static_cast<PointId>(reader.u());
+      const auto id = static_cast<FacilityId>(reader.u());
+      if (point >= num_points_) reader.fail("facility point out of range");
+      index_.add(e, point, id);
     }
   }
   reader.expect("larges");
@@ -950,6 +1079,7 @@ void PdOmflp::restore_state(CkptReader& reader) {
     if (f.config.universe_size() != num_commodities_)
       reader.fail("large facility config universe mismatch");
     larges_.push_back(std::move(f));
+    register_large();
   }
   reader.expect("seen");
   seen_ = reader.set();
@@ -966,29 +1096,30 @@ void PdOmflp::restore_state(CkptReader& reader) {
       reader.fail("past request ids out of order");
     pr.location = static_cast<PointId>(reader.u());
     const std::uint64_t slots = reader.u();
+    if (slots > num_commodities_)
+      reader.fail("past request demands more commodities than |S|");
+    pr.num_slots = static_cast<std::uint32_t>(slots);
+    pr.first_slot = slots_.size();
     pr.large_dist = reader.d();
     pr.departed = reader.b();
-    pr.commodities.reserve(capped_reserve(slots));
+    slots_.resize(pr.first_slot + pr.num_slots);
+    const std::span<PastSlot> restored = slots_of(pr);
     reader.expect("past-commodities");
-    for (std::uint64_t i = 0; i < slots; ++i) {
-      const auto e = static_cast<CommodityId>(reader.u());
-      if (e >= num_commodities_) reader.fail("past commodity out of range");
-      pr.commodities.push_back(e);
+    for (PastSlot& ps : restored) {
+      ps.commodity = static_cast<CommodityId>(reader.u());
+      if (ps.commodity >= num_commodities_)
+        reader.fail("past commodity out of range");
     }
-    pr.duals.reserve(capped_reserve(slots));
     reader.expect("past-duals");
-    for (std::uint64_t i = 0; i < slots; ++i) pr.duals.push_back(reader.d());
+    for (PastSlot& ps : restored) ps.dual = reader.d();
     // Recomputed exactly as archive_request sums it (same order, same
     // skips). Rolled-back slots hold +0.0 duals, so a departed request
     // sums to the 0.0 depart() stored.
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
-      if (!excluded_.contains(pr.commodities[slot]))
-        pr.dual_sum_large += pr.duals[slot];
-    pr.small_dist.reserve(capped_reserve(slots));
+    for (const PastSlot& ps : restored)
+      if (!excluded_.contains(ps.commodity)) pr.dual_sum_large += ps.dual;
     reader.expect("past-small-dist");
-    for (std::uint64_t i = 0; i < slots; ++i)
-      pr.small_dist.push_back(reader.d());
-    past_.push_back(std::move(pr));
+    for (PastSlot& ps : restored) ps.small_dist = reader.d();
+    past_.push_back(pr);
   }
   // The per-commodity index is a pure function of past_.
   index_by_commodity();

@@ -55,10 +55,13 @@
 //     detect_heavy_commodities() from cost/heavy.hpp.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/nearest_facility_index.hpp"
 #include "core/online_algorithm.hpp"
 #include "kernel/bid_plane.hpp"
 #include "metric/distance_oracle.hpp"
@@ -132,9 +135,11 @@ class PdOmflp final : public OnlineAlgorithm {
   /// dual bound is argued on the surviving set).
   double total_dual() const noexcept { return total_dual_; }
 
-  /// Deep self-check of the algorithm's internal state (test hook):
-  /// maintained nearest-facility distances of live (not rolled-back)
-  /// requests against fresh scans, the incremental bid sums against
+  /// Deep self-check of the algorithm's internal state (test hook): the
+  /// nearest-facility index against first-principles scans at every
+  /// point (bitwise; queries may materialize index tables), maintained
+  /// nearest-facility distances of live (not rolled-back) requests
+  /// against fresh scans, the incremental bid sums against
   /// from-scratch recomputation, and the invariants
   /// "Σ_j bids ≤ f^{{e}}_m" (constraint 3) and
   /// "Σ_j bids ≤ f^{large}_m" (constraint 4) at every point. Returns a
@@ -168,30 +173,45 @@ class PdOmflp final : public OnlineAlgorithm {
   std::size_t num_points_ = 0;
 
   // ---- facility state -----------------------------------------------------
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
-  /// offering_[e]: all permanent facilities whose config contains e.
-  std::vector<std::vector<OpenRecord>> offering_;
+  /// Group e < |S|: every permanent facility whose config contains e, in
+  /// opening order, with its per-point nearest table. Group |S|
+  /// (universal_group()): the large facilities whose config contains
+  /// S minus the excluded set — every large in kFullS mode — which cover
+  /// any request's eligible demand.
+  NearestFacilityIndex index_;
+  std::size_t universal_group() const noexcept { return num_commodities_; }
   struct LargeRecord {
     PointId point = 0;
     FacilityId id = kInvalidFacility;
     CommoditySet config;  // full S in kFullS mode; the union in kSeenUnion
   };
   std::vector<LargeRecord> larges_;
+  /// larges_ index of each entry of the universal group, in group order
+  /// (the (distance, list order) tie-break against the scanned larges).
+  std::vector<std::uint32_t> universal_rank_;
+  /// larges_ indexes of the larges outside the universal group (kSeenUnion
+  /// configs that miss a commodity): still scanned per query.
+  std::vector<std::uint32_t> nonuniversal_larges_;
+  /// S minus the excluded set: a large whose config contains it is
+  /// universal.
+  CommoditySet universal_config_;
   /// Union of commodities demanded so far (kSeenUnion's prediction set).
   CommoditySet seen_;
   /// Normalized excluded set (empty set over S when the option is unset).
   CommoditySet excluded_;
 
   // ---- past-request state -------------------------------------------------
+  /// One (request, commodity) slot of a past request.
+  struct PastSlot {
+    CommodityId commodity = 0;
+    double dual = 0.0;        // frozen a_je (zeroed by rollback)
+    double small_dist = 0.0;  // d(F(e), j), maintained
+  };
   struct PastRequest {
     RequestId id = 0;  // stable arrival id; past_ is sorted by it
     PointId location = 0;
-    std::vector<CommodityId> commodities;
-    std::vector<double> duals;       // frozen a_je (zeroed by rollback)
-    std::vector<double> small_dist;  // d(F(e), j), maintained per slot
+    std::uint32_t num_slots = 0;
+    std::size_t first_slot = 0;      // into slots_
     double dual_sum_large = 0.0;     // Σ a_je over non-excluded commodities
     double large_dist = kInfiniteDistance;  // d(F̂, j), maintained
     /// Departed and rolled back: duals are zero, bids withdrawn. The slot
@@ -203,6 +223,15 @@ class PdOmflp final : public OnlineAlgorithm {
   /// and under kFrozen, the live ones (plus departures since the last
   /// compaction) under kRollback.
   std::vector<PastRequest> past_;
+  /// Every resident request's slots, contiguous per request and in
+  /// past_ order (compact_departed() closes the gaps in place).
+  std::vector<PastSlot> slots_;
+  std::span<PastSlot> slots_of(const PastRequest& pr) {
+    return {slots_.data() + pr.first_slot, pr.num_slots};
+  }
+  std::span<const PastSlot> slots_of(const PastRequest& pr) const {
+    return {slots_.data() + pr.first_slot, pr.num_slots};
+  }
   /// by_commodity_[e]: (index into past_, slot in its commodity list).
   std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
       by_commodity_;
@@ -231,6 +260,30 @@ class PdOmflp final : public OnlineAlgorithm {
   /// path (the oracle's fallback buffer is single-slot; a row held for a
   /// whole event loop must not alias it).
   std::vector<double> dist_loc_scratch_;
+  struct NewFacility {
+    PointId point;
+    CommoditySet config;
+    FacilityId id;
+    bool is_large;
+  };
+  /// Per-round state of serve(), one entry per demanded commodity; kept
+  /// as members so a steady-state serve() allocates nothing (the set
+  /// algebra allocates neither: sets over <= 64 commodities are inline).
+  struct RoundScratch {
+    std::vector<CommodityId> commodities;  // s_r in increasing order
+    std::vector<double> a;                 // the raised duals a_re
+    std::vector<std::uint8_t> served;
+    std::vector<std::uint8_t> eligible;  // may use constraints (2)/(4)
+    std::vector<double> dist1;           // round-start d(F(e), r)
+    std::vector<FacilityId> fac1;        // and the facility attaining it
+    std::vector<const double*> f_small;     // f^{{e}} cost rows
+    std::vector<const double*> bids_small;  // constraint-(3) bid rows
+    std::vector<PointId> temp_point;        // constraint (3) outcome
+    std::vector<std::uint8_t> via_existing;  // constraint (1) outcome
+    std::vector<std::uint8_t> via_large;     // constraints (2)/(4) outcome
+    std::vector<NewFacility> committed;
+  };
+  RoundScratch round_;
 
   // ---- outputs -------------------------------------------------------------
   double total_dual_ = 0.0;
@@ -244,12 +297,22 @@ class PdOmflp final : public OnlineAlgorithm {
   CommoditySet current_large_config() const;
   /// Distance from point p to the nearest large facility covering
   /// `eligible_demand` (the demand minus excluded commodities), and that
-  /// facility.
+  /// facility: the universal group's table merged, by (distance, larges_
+  /// order), with a scan of the non-universal larges.
   std::pair<double, FacilityId> nearest_large(
       PointId p, const CommoditySet& eligible_demand) const;
   /// Distance from p to the nearest facility offering e, and the facility.
   std::pair<double, FacilityId> nearest_offering(CommodityId e,
                                                  PointId p) const;
+  /// First-principles linear scans over the facility lists — the
+  /// independent oracles audit_state() checks the maintained state with.
+  std::pair<double, FacilityId> scan_nearest_offering(CommodityId e,
+                                                      PointId p) const;
+  std::pair<double, FacilityId> scan_nearest_large(
+      PointId p, const CommoditySet& eligible_demand) const;
+  /// Appends larges_'s newest record to the universal group or to the
+  /// scanned list.
+  void register_large();
   /// Rebuilds by_commodity_ from past_ (slot order, so arrival order).
   void index_by_commodity();
 
@@ -278,8 +341,8 @@ class PdOmflp final : public OnlineAlgorithm {
   /// Appends the finished request to past_ / by_commodity_ and posts its
   /// contributions to the incremental bid arrays.
   void archive_request(RequestId id, const Request& request,
-                       const std::vector<CommodityId>& commodities,
-                       const std::vector<double>& duals);
+                       std::span<const CommodityId> commodities,
+                       std::span<const double> duals);
 };
 
 }  // namespace omflp

@@ -48,8 +48,7 @@ void RandOmflp::reset(const ProblemContext& context) {
   num_points_ = dist_->num_points();
   rng_ = Rng(options_.seed);
 
-  offering_.assign(num_commodities_, {});
-  larges_.clear();
+  index_.reset(static_cast<std::size_t>(num_commodities_) + 1, dist_.get());
   class_index_.clear();
   class_index_.resize(static_cast<std::size_t>(num_commodities_) + 1);
   accounting_.clear();
@@ -74,44 +73,20 @@ const CostClassIndex& RandOmflp::full_classes() {
 
 std::pair<double, FacilityId> RandOmflp::nearest_offering(CommodityId e,
                                                           PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, offering_[e].size());
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  if (offering_[e].empty()) return {best, best_id};
-  OMFLP_PERF_ADD(distance_lookups, offering_[e].size());
-  const double* dist_p = dist_->row(p);
-  for (const OpenRecord& f : offering_[e]) {
-    const double d = dist_p[f.point];
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
-  }
-  return {best, best_id};
+  const NearestFacilityIndex::Nearest hit = index_.nearest(e, p);
+  return {hit.distance, hit.id};
 }
 
 std::pair<double, FacilityId> RandOmflp::nearest_large(PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, larges_.size());
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  if (larges_.empty()) return {best, best_id};
-  OMFLP_PERF_ADD(distance_lookups, larges_.size());
-  const double* dist_p = dist_->row(p);
-  for (const OpenRecord& f : larges_) {
-    const double d = dist_p[f.point];
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
-  }
-  return {best, best_id};
+  const NearestFacilityIndex::Nearest hit = index_.nearest(large_group(), p);
+  return {hit.distance, hit.id};
 }
 
 FacilityId RandOmflp::open_small(PointId m, CommodityId e,
                                  SolutionLedger& ledger, double coin_p) {
   const FacilityId id =
       ledger.open_facility(m, CommoditySet::singleton(num_commodities_, e));
-  offering_[e].push_back(OpenRecord{m, id});
+  index_.add(e, m, id);
   emit_rand_open(ledger, id, e, coin_p);
   return id;
 }
@@ -120,9 +95,8 @@ FacilityId RandOmflp::open_large(PointId m, SolutionLedger& ledger,
                                  double coin_p) {
   const FacilityId id =
       ledger.open_facility(m, CommoditySet::full_set(num_commodities_));
-  larges_.push_back(OpenRecord{m, id});
-  for (CommodityId e = 0; e < num_commodities_; ++e)
-    offering_[e].push_back(OpenRecord{m, id});
+  index_.add(large_group(), m, id);
+  for (CommodityId e = 0; e < num_commodities_; ++e) index_.add(e, m, id);
   emit_rand_open(ledger, id, kInvalidCommodity, coin_p);
   return id;
 }
@@ -211,7 +185,7 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
   // single-large completions as computed in step 1.
   bool any_uncovered = false;
   for (const CommodityId e : commodities)
-    if (offering_[e].empty()) {
+    if (index_.facilities(e).empty()) {
       any_uncovered = true;
       break;
     }
@@ -219,7 +193,7 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
     acct.completion_used = true;
     if (!use_large_side || x_total <= z_total) {
       for (std::size_t slot = 0; slot < commodities.size(); ++slot)
-        if (offering_[commodities[slot]].empty())
+        if (index_.facilities(commodities[slot]).empty())
           open_small(small_open[slot].point, commodities[slot], ledger,
                      /*coin_p=*/1.0);
     } else {
@@ -256,13 +230,15 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
 
 void RandOmflp::serialize_state(CkptWriter& writer) const {
   serialize_rng(writer, rng_);
-  writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_) {
-    writer.line("offering").u(row.size());
-    for (const OpenRecord& f : row) writer.u(f.point).u(f.id);
+  writer.line("offering-index").u(num_commodities_);
+  for (std::size_t group = 0; group <= large_group(); ++group) {
+    const std::span<const NearestFacilityIndex::Entry> row =
+        index_.facilities(group);
+    writer.line(group == large_group() ? "larges" : "offering")
+        .u(row.size());
+    for (const NearestFacilityIndex::Entry& f : row)
+      writer.u(f.point).u(f.id);
   }
-  writer.line("larges").u(larges_.size());
-  for (const OpenRecord& f : larges_) writer.u(f.point).u(f.id);
   writer.line("accounting").u(accounting_.size());
   for (const RandAccounting& a : accounting_) {
     writer.line("acct")
@@ -279,28 +255,21 @@ void RandOmflp::serialize_state(CkptWriter& writer) const {
 
 void RandOmflp::restore_state(CkptReader& reader) {
   restore_rng(reader, rng_);
+  // reset() left every nearest-facility table unmaterialized: the lists
+  // are re-added here and each table is rebuilt on its group's first
+  // query.
   reader.expect("offering-index");
-  if (reader.u() != offering_.size())
+  if (reader.u() != num_commodities_)
     reader.fail("offering index universe mismatch");
-  for (auto& row : offering_) {
-    reader.expect("offering");
+  for (std::size_t group = 0; group <= large_group(); ++group) {
+    reader.expect(group == large_group() ? "larges" : "offering");
     const std::uint64_t n = reader.u();
-    row.reserve(capped_reserve(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-      OpenRecord f;
-      f.point = static_cast<PointId>(reader.u());
-      f.id = static_cast<FacilityId>(reader.u());
-      row.push_back(f);
+      const auto point = static_cast<PointId>(reader.u());
+      const auto id = static_cast<FacilityId>(reader.u());
+      if (point >= num_points_) reader.fail("facility point out of range");
+      index_.add(group, point, id);
     }
-  }
-  reader.expect("larges");
-  const std::uint64_t num_larges = reader.u();
-  larges_.reserve(capped_reserve(num_larges));
-  for (std::uint64_t i = 0; i < num_larges; ++i) {
-    OpenRecord f;
-    f.point = static_cast<PointId>(reader.u());
-    f.id = static_cast<FacilityId>(reader.u());
-    larges_.push_back(f);
   }
   reader.expect("accounting");
   const std::uint64_t num_acct = reader.u();

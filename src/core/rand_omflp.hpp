@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/nearest_facility_index.hpp"
 #include "core/online_algorithm.hpp"
 #include "cost/cost_classes.hpp"
 #include "metric/distance_oracle.hpp"
@@ -101,12 +102,11 @@ class RandOmflp final : public OnlineAlgorithm {
   CommodityId num_commodities_ = 0;
   std::size_t num_points_ = 0;
 
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
-  std::vector<std::vector<OpenRecord>> offering_;  // per commodity
-  std::vector<OpenRecord> larges_;
+  /// Group e < |S|: the facilities offering e; group |S|
+  /// (large_group()): the large (full-S) facilities. Both in opening
+  /// order, with per-point nearest tables.
+  NearestFacilityIndex index_;
+  std::size_t large_group() const noexcept { return num_commodities_; }
 
   /// Lazily-built class indexes: index 0..|S|-1 for singletons, the last
   /// slot for the full configuration S.

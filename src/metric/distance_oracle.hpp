@@ -24,6 +24,14 @@ class DistanceOracle {
 
   double operator()(PointId a, PointId b) const {
     OMFLP_PERF_COUNT(distance_lookups);
+    return at(a, b);
+  }
+
+  /// d(a, b), bitwise equal to row(a)[b] on both paths, without a
+  /// counter tick and without touching the fallback row buffer — for
+  /// loops that read scattered entries and tick one bulk
+  /// OMFLP_PERF_ADD themselves.
+  double at(PointId a, PointId b) const {
     if (!matrix_.empty()) return matrix_[static_cast<std::size_t>(a) * n_ + b];
     return metric_->distance(a, b);
   }

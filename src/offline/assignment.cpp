@@ -8,9 +8,15 @@
 
 namespace omflp {
 
-std::vector<double> assignment_dp(const MetricSpace& metric,
-                                  std::span<const PlacedFacility> facilities,
-                                  const Request& request) {
+namespace {
+
+/// The DP over a request's submasks; distance_to(f) supplies
+/// d(request.location, facilities[f].point) and is called only for the
+/// facilities that cover part of the demand.
+template <class DistanceTo>
+std::vector<double> assignment_dp_impl(
+    std::span<const PlacedFacility> facilities, const Request& request,
+    DistanceTo&& distance_to) {
   const std::vector<CommodityId> members = request.commodities.to_vector();
   const std::size_t k = members.size();
   OMFLP_REQUIRE(k <= 20, "assignment_dp: demand set too large");
@@ -19,12 +25,12 @@ std::vector<double> assignment_dp(const MetricSpace& metric,
   // Local coverage mask and distance of each usable facility.
   std::vector<std::pair<std::size_t, double>> usable;
   usable.reserve(facilities.size());
-  for (const PlacedFacility& f : facilities) {
+  for (std::size_t fi = 0; fi < facilities.size(); ++fi) {
     std::size_t cov = 0;
     for (std::size_t b = 0; b < k; ++b)
-      if (f.config.contains(members[b])) cov |= (std::size_t{1} << b);
-    if (cov != 0)
-      usable.emplace_back(cov, metric.distance(request.location, f.point));
+      if (facilities[fi].config.contains(members[b]))
+        cov |= (std::size_t{1} << b);
+    if (cov != 0) usable.emplace_back(cov, distance_to(fi));
   }
 
   std::vector<double> dp(full + 1, std::numeric_limits<double>::infinity());
@@ -37,6 +43,25 @@ std::vector<double> assignment_dp(const MetricSpace& metric,
     }
   }
   return dp;
+}
+
+}  // namespace
+
+std::vector<double> assignment_dp(const MetricSpace& metric,
+                                  std::span<const PlacedFacility> facilities,
+                                  const Request& request) {
+  return assignment_dp_impl(facilities, request, [&](std::size_t fi) {
+    return metric.distance(request.location, facilities[fi].point);
+  });
+}
+
+std::vector<double> assignment_dp(std::span<const PlacedFacility> facilities,
+                                  std::span<const double> distances,
+                                  const Request& request) {
+  OMFLP_REQUIRE(distances.size() == facilities.size(),
+                "assignment_dp: one distance per facility required");
+  return assignment_dp_impl(facilities, request,
+                            [&](std::size_t fi) { return distances[fi]; });
 }
 
 double optimal_assignment_cost(const MetricSpace& metric,

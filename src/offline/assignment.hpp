@@ -29,6 +29,15 @@ std::vector<double> assignment_dp(const MetricSpace& metric,
                                   std::span<const PlacedFacility> facilities,
                                   const Request& request);
 
+/// The same table with d(request.location, facilities[f].point) read from
+/// distances[f] instead of the metric — for callers that price many
+/// facility sets against the same points and keep distance rows. Bitwise
+/// equal to the metric overload when every distances[f] is the metric's
+/// distance(request.location, facilities[f].point).
+std::vector<double> assignment_dp(std::span<const PlacedFacility> facilities,
+                                  std::span<const double> distances,
+                                  const Request& request);
+
 /// Convenience: just the optimal connection cost for the request.
 double optimal_assignment_cost(const MetricSpace& metric,
                                std::span<const PlacedFacility> facilities,

@@ -54,7 +54,18 @@ Pools build_pools(const Instance& instance,
 
 class SearchState {
  public:
-  explicit SearchState(const Instance& instance) : instance_(instance) {}
+  /// `points` (ascending) must hold every point a facility is priced or
+  /// opened at. For each, one row of d(r.location, p) over the requests
+  /// is read from the metric once, in the argument order the per-pair
+  /// calls used, so every distance the search reads is bitwise the
+  /// metric's.
+  SearchState(const Instance& instance, const std::vector<PointId>& points)
+      : instance_(instance), points_(points) {
+    rows_.reserve(points.size() * instance.num_requests());
+    for (PointId p : points)
+      for (const Request& r : instance.requests())
+        rows_.push_back(instance.metric().distance(r.location, p));
+  }
 
   void set_facilities(std::vector<PlacedFacility> facilities) {
     facilities_ = std::move(facilities);
@@ -72,15 +83,15 @@ class SearchState {
   /// from the cached DP tables in O(n·2^k) without rebuilding.
   double add_delta(const PlacedFacility& f) const {
     double delta = instance_.cost().open_cost(f.point, f.config);
+    const double* distance = row_of(f.point);
     for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
-      const Request& r = instance_.request(i);
       const std::vector<double>& dp = dp_tables_[i];
       const std::vector<CommodityId>& members = members_[i];
       std::size_t cov = 0;
       for (std::size_t b = 0; b < members.size(); ++b)
         if (f.config.contains(members[b])) cov |= (std::size_t{1} << b);
       if (cov == 0) continue;
-      const double d = instance_.metric().distance(r.location, f.point);
+      const double d = distance[i];
       const std::size_t full = dp.size() - 1;
       // Optimal cover using the new facility at most once.
       const double with_f = dp[full & ~cov] + d;
@@ -97,15 +108,20 @@ class SearchState {
   double drop_delta(std::size_t fi) const {
     std::vector<PlacedFacility> reduced = facilities_;
     reduced.erase(reduced.begin() + static_cast<std::ptrdiff_t>(fi));
+    std::vector<const double*> reduced_rows = facility_rows_;
+    reduced_rows.erase(reduced_rows.begin() +
+                       static_cast<std::ptrdiff_t>(fi));
+    std::vector<double> distances(reduced.size());
     const CommoditySet& dropped = facilities_[fi].config;
     double connect = 0.0;
     for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
       const Request& r = instance_.request(i);
-      const double c =
-          r.commodities.intersects(dropped)
-              ? optimal_assignment_cost(instance_.metric(),
-                                        std::span(reduced), r)
-              : dp_tables_[i].back();
+      double c = dp_tables_[i].back();
+      if (r.commodities.intersects(dropped)) {
+        for (std::size_t g = 0; g < reduced.size(); ++g)
+          distances[g] = reduced_rows[g][i];
+        c = assignment_dp(std::span(reduced), distances, r).back();
+      }
       if (!std::isfinite(c)) return kInfiniteDistance;
       connect += c;
     }
@@ -117,25 +133,44 @@ class SearchState {
   }
 
  private:
+  const double* row_of(PointId p) const {
+    const auto it = std::lower_bound(points_.begin(), points_.end(), p);
+    OMFLP_CHECK(it != points_.end() && *it == p,
+                "solve_local_search: facility outside the candidate pool");
+    return rows_.data() + static_cast<std::size_t>(it - points_.begin()) *
+                              instance_.num_requests();
+  }
+
   void rebuild() {
     opening_ = 0.0;
-    for (const PlacedFacility& f : facilities_)
+    facility_rows_.clear();
+    for (const PlacedFacility& f : facilities_) {
       opening_ += instance_.cost().open_cost(f.point, f.config);
+      facility_rows_.push_back(row_of(f.point));
+    }
     connection_ = 0.0;
     dp_tables_.clear();
     members_.clear();
     dp_tables_.reserve(instance_.num_requests());
     members_.reserve(instance_.num_requests());
-    for (const Request& r : instance_.requests()) {
+    std::vector<double> distances(facilities_.size());
+    for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+      const Request& r = instance_.request(i);
+      for (std::size_t f = 0; f < facilities_.size(); ++f)
+        distances[f] = facility_rows_[f][i];
       dp_tables_.push_back(
-          assignment_dp(instance_.metric(), std::span(facilities_), r));
+          assignment_dp(std::span(facilities_), distances, r));
       members_.push_back(r.commodities.to_vector());
       connection_ += dp_tables_.back().back();
     }
   }
 
   const Instance& instance_;
+  const std::vector<PointId>& points_;
+  /// rows_[k·n + i] = d(request i's location, points_[k]).
+  std::vector<double> rows_;
   std::vector<PlacedFacility> facilities_;
+  std::vector<const double*> facility_rows_;  // aligned with facilities_
   std::vector<std::vector<double>> dp_tables_;
   std::vector<std::vector<CommodityId>> members_;
   double opening_ = 0.0;
@@ -166,7 +201,7 @@ OfflineSolution solve_local_search(const Instance& instance,
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_local_search: empty instance");
   const Pools pools = build_pools(instance, options);
-  SearchState state(instance);
+  SearchState state(instance, pools.points);
   state.set_facilities(initial_solution(instance));
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {

@@ -41,6 +41,9 @@ RequestId SolutionLedger::begin_request(const Request& request) {
   RequestRecord record;
   record.id = num_requests_++;
   record.request = request;
+  // Every demanded commodity is served or rejected exactly once; reserving
+  // here keeps allocation out of the algorithm's serve() call.
+  record.served.reserve(request.commodities.count());
   requests_.push_back(std::move(record));
   in_flight_ = true;
   return requests_.back().id;
