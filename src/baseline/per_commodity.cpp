@@ -16,11 +16,12 @@ namespace {
 /// Re-emit events a sub-algorithm produced against its private
 /// sub-ledger, translated into real-ledger ids. request_assign events are
 /// dropped: the adapter's own ledger.assign() re-emits them with real ids.
-/// (Templated on the adapter's private SubInstance type.)
+/// Ids are translated in place, so no event or contributor list is
+/// copied. (Templated on the adapter's private SubInstance type.)
 template <typename SubInstance>
-void replay_sub_trace(const TraceBuffer& sub_trace, const SubInstance& sub,
+void replay_sub_trace(TraceBuffer& sub_trace, const SubInstance& sub,
                       CommodityId e) {
-  for (TraceEvent ev : sub_trace.events()) {
+  for (TraceEvent& ev : sub_trace.events()) {
     if (ev.kind == TraceEventKind::kRequestAssign) continue;
     ev.commodity = e;
     if (ev.facility != kInvalidFacility) {
@@ -33,7 +34,7 @@ void replay_sub_trace(const TraceBuffer& sub_trace, const SubInstance& sub,
                   "PerCommodityAdapter: trace names an unknown sub-request");
       ev.request = sub.real_request[ev.request];
     }
-    for (TraceContributor& c : ev.contributors) {
+    for (TraceContributor& c : ev.contributors()) {
       OMFLP_CHECK(c.request < sub.real_request.size(),
                   "PerCommodityAdapter: contributor is an unknown "
                   "sub-request");

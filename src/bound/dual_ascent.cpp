@@ -386,7 +386,9 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
       ev.kind = TraceEventKind::kDualRaise;
       ev.request = kInvalidRequest;
       ev.commodity = demanded[i];
-      ev.config_size = refs.size();
+      OMFLP_CHECK(refs.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "bound_dual_ascent: dual count exceeds the trace field");
+      ev.config_size = static_cast<std::uint32_t>(refs.size());
       ev.cost = outcomes[i].objective;
       obs::emit(ev);
     }

@@ -451,6 +451,23 @@ void PdOmflp::index_by_commodity() {
       by_commodity_[slots[slot].commodity].emplace_back(
           j, static_cast<std::uint32_t>(slot));
   }
+  // The same 4x rule as past_ and slots_ in compact_departed(): a list
+  // keeps its buffer through steady serving but not a burst's high water.
+  for (auto& entries : by_commodity_)
+    if (entries.capacity() > 4 * entries.size()) entries.shrink_to_fit();
+}
+
+PdOmflp::ResidentFootprint PdOmflp::resident_footprint() const noexcept {
+  ResidentFootprint out;
+  out.requests = past_.size();
+  out.requests_capacity = past_.capacity();
+  out.slots = slots_.size();
+  out.slots_capacity = slots_.capacity();
+  for (const auto& entries : by_commodity_) {
+    out.index_entries += entries.size();
+    out.index_capacity += entries.capacity();
+  }
+  return out;
 }
 
 void PdOmflp::compact_departed() {

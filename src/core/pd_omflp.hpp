@@ -156,6 +156,17 @@ class PdOmflp final : public OnlineAlgorithm {
   /// bind the result once instead of calling it in a loop.
   std::vector<PdDualRecord> dual_records() const;
 
+  /// Entries held and capacity reserved by the per-request state (test
+  /// hook for the live-set bound): past_, slots_ and, summed over
+  /// commodities, the by_commodity_ lists. compact_departed() keeps each
+  /// capacity within 4x its size.
+  struct ResidentFootprint {
+    std::size_t requests = 0, requests_capacity = 0;
+    std::size_t slots = 0, slots_capacity = 0;
+    std::size_t index_entries = 0, index_capacity = 0;
+  };
+  ResidentFootprint resident_footprint() const noexcept;
+
   const PdOptions& options() const noexcept { return options_; }
 
   /// The contiguous bid arena: rows 0..|S|-1 are the per-commodity small

@@ -1,7 +1,6 @@
 #include "instance/event_stream.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -12,12 +11,17 @@ namespace omflp {
 
 namespace {
 
-/// Min-heap entry for pending lease expiries: (deadline event index,
-/// arrival id), ordered ascending on both so simultaneous expiries fire
-/// in arrival order.
-using Expiry = std::pair<std::uint64_t, RequestId>;
-using ExpiryHeap =
-    std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>;
+/// Per-arrival "active until" clocks: until[id] is the first event index
+/// at which arrival id is no longer active — its lease deadline, or
+/// kNoDeadline without a lease, and 0 once it departed. Arrival id is
+/// active at event t iff until[id] > t: exactly the rule of a lease
+/// min-heap drained of every deadline <= t before event t (expiries fire
+/// before their deadline event), with no heap to maintain.
+constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+
+std::uint64_t active_until(std::uint64_t t, const StreamEvent& arrival) {
+  return arrival.lease > 0 ? lease_deadline(t, arrival.lease) : kNoDeadline;
+}
 
 }  // namespace
 
@@ -36,9 +40,8 @@ EventStream::EventStream(MetricPtr metric, CostModelPtr cost,
 void EventStream::validate() const {
   const CommodityId s = cost_->num_commodities();
   const std::size_t points = metric_->num_points();
-  std::vector<bool> active;  // by arrival id
-  active.reserve(num_arrivals_);
-  ExpiryHeap expiries;
+  std::vector<std::uint64_t> until;  // by arrival id
+  until.reserve(num_arrivals_);
 
   auto fail = [](std::size_t t, const std::string& what) {
     std::ostringstream os;
@@ -47,11 +50,6 @@ void EventStream::validate() const {
   };
 
   for (std::size_t t = 0; t < events_.size(); ++t) {
-    while (!expiries.empty() && expiries.top().first <= t) {
-      const RequestId id = expiries.top().second;
-      expiries.pop();
-      active[id] = false;  // no-op if an explicit departure beat the lease
-    }
     const StreamEvent& e = events_[t];
     if (e.kind == StreamEvent::Kind::kArrival) {
       if (e.request.location >= points)
@@ -59,44 +57,36 @@ void EventStream::validate() const {
       if (e.request.commodities.universe_size() != s)
         fail(t, "arrival demand set over the wrong universe");
       if (e.request.commodities.empty()) fail(t, "empty demand set");
-      const RequestId id = active.size();
-      active.push_back(true);
-      if (e.lease > 0) expiries.emplace(lease_deadline(t, e.lease), id);
+      until.push_back(active_until(t, e));
     } else {
-      if (e.target >= active.size())
+      if (e.target >= until.size())
         fail(t, "departure of an arrival that has not happened");
-      if (!active[e.target])
+      // Departed (0) or lease already expired (deadline <= t).
+      if (until[e.target] <= t)
         fail(t, "departure of an arrival that is no longer active");
-      active[e.target] = false;
+      until[e.target] = 0;
     }
   }
 }
 
 std::vector<RequestId> EventStream::surviving_arrivals() const {
-  std::vector<bool> active;
-  active.reserve(num_arrivals_);
-  ExpiryHeap expiries;
+  std::vector<std::uint64_t> until;  // by arrival id
+  until.reserve(num_arrivals_);
   for (std::size_t t = 0; t < events_.size(); ++t) {
-    while (!expiries.empty() && expiries.top().first <= t) {
-      active[expiries.top().second] = false;
-      expiries.pop();
-    }
     const StreamEvent& e = events_[t];
     if (e.kind == StreamEvent::Kind::kArrival) {
-      const RequestId id = active.size();
-      active.push_back(true);
-      if (e.lease > 0) expiries.emplace(lease_deadline(t, e.lease), id);
+      until.push_back(active_until(t, e));
     } else {
-      OMFLP_REQUIRE(e.target < active.size() && active[e.target],
+      OMFLP_REQUIRE(e.target < until.size() && until[e.target] > t,
                     "EventStream: invalid departure (run validate())");
-      active[e.target] = false;
+      until[e.target] = 0;
     }
   }
-  // Leases with deadlines past the end never fire: whatever is still
-  // marked active survives.
+  // Leases with deadlines past the last event never fire: whatever is
+  // still active after it survives.
   std::vector<RequestId> out;
-  for (RequestId id = 0; id < active.size(); ++id)
-    if (active[id]) out.push_back(id);
+  for (RequestId id = 0; id < until.size(); ++id)
+    if (until[id] >= events_.size()) out.push_back(id);
   return out;
 }
 

@@ -80,7 +80,7 @@ class LineBuilder {
   char* const end_ = buf_ + kCapacity;
 };
 
-void append_escaped(std::string& out, const std::string& text) {
+void append_escaped(std::string& out, std::string_view text) {
   static constexpr char kHex[] = "0123456789abcdef";
   for (const char c : text) {
     switch (c) {
@@ -116,7 +116,7 @@ void append_event_line(std::string& out, const TraceEvent& event,
   line.text("\"");
 
   switch (event.kind) {
-    case TraceEventKind::kFacilityOpen:
+    case TraceEventKind::kFacilityOpen: {
       line.u64(",\"request\":", event.request);
       line.u64(",\"commodity\":", event.commodity);
       line.u64(",\"facility\":", event.facility);
@@ -126,19 +126,21 @@ void append_event_line(std::string& out, const TraceEvent& event,
       line.num(",\"cost\":", event.cost);
       line.num(",\"bid_mass\":", event.bid_mass);
       line.num(",\"tightness\":", event.tightness);
-      if (event.contributors.size() > kMaxTraceContributors)
+      const auto contributors = event.contributors();
+      if (contributors.size() > kMaxTraceContributors)
         throw std::invalid_argument(
             "TraceLogWriter: contributor list exceeds the cap");
       line.text(",\"contributors\":[");
-      for (std::size_t i = 0; i < event.contributors.size(); ++i) {
+      for (std::size_t i = 0; i < contributors.size(); ++i) {
         if (i) line.text(",");
-        line.u64("{\"request\":", event.contributors[i].request);
-        line.num(",\"amount\":", event.contributors[i].amount);
+        line.u64("{\"request\":", contributors[i].request);
+        line.num(",\"amount\":", contributors[i].amount);
         line.text("}");
       }
       line.text("]");
       line.num(",\"residual\":", event.residual);
       break;
+    }
     case TraceEventKind::kRequestAssign:
       line.u64(",\"request\":", event.request);
       line.u64(",\"commodity\":", event.commodity);
@@ -168,7 +170,7 @@ void append_event_line(std::string& out, const TraceEvent& event,
       line.u64(",\"request\":", event.request);
       line.text(",\"note\":\"");
       std::string flag_line(line.view());
-      append_escaped(flag_line, event.note);
+      append_escaped(flag_line, event.note());
       flag_line += "\"}\n";
       out += flag_line;
       return;
@@ -347,7 +349,7 @@ TraceEvent parse_event_line(const std::string& line,
       event.commodity = id_field("commodity");
       event.facility = static_cast<FacilityId>(u64_field("facility"));
       event.point = static_cast<PointId>(id_field("point"));
-      event.config_size = u64_field("config_size");
+      event.config_size = id_field("config_size");
       const std::uint64_t constraint = u64_field("constraint");
       if (constraint > 4) scan.fail("constraint out of range");
       event.constraint = static_cast<std::uint8_t>(constraint);
@@ -355,11 +357,12 @@ TraceEvent parse_event_line(const std::string& line,
       event.bid_mass = num_field("bid_mass");
       event.tightness = num_field("tightness");
       scan.expect(",\"contributors\":[");
+      std::vector<TraceContributor> contributors;
       bool first = true;
       while (!scan.try_consume("]")) {
         if (!first) scan.expect(",");
         first = false;
-        if (event.contributors.size() >= kMaxTraceContributors)
+        if (contributors.size() >= kMaxTraceContributors)
           scan.fail("too many contributors");
         TraceContributor c;
         scan.expect("{\"request\":");
@@ -367,8 +370,9 @@ TraceEvent parse_event_line(const std::string& line,
         scan.expect(",\"amount\":");
         c.amount = scan.take_double("amount");
         scan.expect("}");
-        event.contributors.push_back(c);
+        contributors.push_back(c);
       }
+      event.set_contributors(std::move(contributors));
       event.residual = num_field("residual");
       break;
     }
@@ -392,13 +396,13 @@ TraceEvent parse_event_line(const std::string& line,
     case TraceEventKind::kDualRaise:
       event.request = static_cast<RequestId>(u64_field("request"));
       event.commodity = id_field("commodity");
-      event.config_size = u64_field("config_size");
+      event.config_size = id_field("config_size");
       event.cost = num_field("cost");
       break;
     case TraceEventKind::kVerifierFlag:
       event.request = static_cast<RequestId>(u64_field("request"));
       scan.expect(",\"note\":\"");
-      event.note = scan.take_string("note");
+      event.set_note(scan.take_string("note"));
       break;
     case TraceEventKind::kRequestReject:
       event.request = static_cast<RequestId>(u64_field("request"));

@@ -54,7 +54,7 @@ void render_event(std::ostringstream& os, const TraceEvent& ev,
          << " raised " << fmt(ev.cost);
       break;
     case TraceEventKind::kVerifierFlag:
-      os << "  request " << ev.request << ": " << ev.note;
+      os << "  request " << ev.request << ": " << ev.note();
       break;
     case TraceEventKind::kRequestReject:
       os << "  request " << ev.request << " shed commodity "
@@ -99,12 +99,12 @@ std::string explain_facility(const std::vector<TraceEvent>& events,
   // total (archived bids + the serving request's own term), not of
   // bid_mass, which counts only the archived rows.
   double contributed = open.residual;
-  for (const TraceContributor& c : open.contributors)
+  for (const TraceContributor& c : open.contributors())
     contributed += c.amount;
-  if (!open.contributors.empty() || open.bid_mass > 0.0) {
+  if (!open.contributors().empty() || open.bid_mass > 0.0) {
     os << "  archived bid mass at decision time: " << fmt(open.bid_mass)
        << "; recorded contributions: " << fmt(contributed) << "\n";
-    for (const TraceContributor& c : open.contributors) {
+    for (const TraceContributor& c : open.contributors()) {
       os << "    request " << c.request << " contributed " << fmt(c.amount);
       if (contributed > 0.0)
         os << " (" << fmt(100.0 * c.amount / contributed) << "%)";
@@ -128,7 +128,7 @@ std::string explain_facility(const std::vector<TraceEvent>& events,
         ev.facility == facility)
       ++assignments;
     if (i > open_index && ev.kind == TraceEventKind::kBidRollback) {
-      for (const TraceContributor& c : open.contributors)
+      for (const TraceContributor& c : open.contributors())
         if (c.request == ev.request) {
           rolled_back += c.amount;
           ++contributors_rolled;
@@ -140,7 +140,7 @@ std::string explain_facility(const std::vector<TraceEvent>& events,
      << (assignments == 1 ? "" : "s") << " in the trace\n";
   if (contributors_rolled > 0) {
     os << "  rollback: " << contributors_rolled << " of "
-       << open.contributors.size() << " recorded contributors later "
+       << open.contributors().size() << " recorded contributors later "
        << "departed, withdrawing " << fmt(rolled_back) << " of "
        << fmt(contributed) << " contributed mass";
     if (contributed > 0.0 && rolled_back >= contributed - 1e-12)
@@ -162,7 +162,7 @@ std::string explain_request(const std::vector<TraceEvent>& events,
     const TraceEvent& ev = events[i];
     bool involved = ev.request == request;
     if (!involved)
-      for (const TraceContributor& c : ev.contributors)
+      for (const TraceContributor& c : ev.contributors())
         if (c.request == request) {
           involved = true;
           break;
@@ -173,7 +173,7 @@ std::string explain_request(const std::vector<TraceEvent>& events,
         ev.kind == TraceEventKind::kFacilityOpen) {
       // Involved as a contributor only.
       double amount = 0.0;
-      for (const TraceContributor& c : ev.contributors)
+      for (const TraceContributor& c : ev.contributors())
         if (c.request == request) amount = c.amount;
       os << "  [" << i << "] contributed " << fmt(amount)
          << " bid mass to facility " << ev.facility << " (opened by "

@@ -25,7 +25,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "perf/perf_counters.hpp"
@@ -69,29 +72,121 @@ struct TraceContributor {
 /// A single structured decision event. Flat by design: every kind uses a
 /// subset of the fields (the tracelog writer serializes a fixed per-kind
 /// field list — see src/instance/tracelog_io.hpp for the schema).
+///
+/// Compact by design too: the engine, `omflp serve --fault-plan` and
+/// `explain` keep whole traces in memory (about six events per lease-heavy
+/// arrival), so the scalars are ordered widest first to leave no padding
+/// and the contributor list and note sit behind one pointer that is null
+/// on every event that carries neither. Copies deep-copy the detail;
+/// moves take it and leave the source without one.
 struct TraceEvent {
-  TraceEventKind kind = TraceEventKind::kFacilityOpen;
   /// The request being served/retired when the event fired (the ordinal
   /// the ledger assigned at arrival). kInvalidRequest when n/a.
   RequestId request = kInvalidRequest;
-  /// Paper constraint that went tight for facility_open: 1 = connect to
-  /// an open nearby facility, 2 = reach a large facility, 3 = jointly
-  /// buy a small facility, 4 = jointly buy a large facility. 0 = n/a.
-  std::uint8_t constraint = 0;
-  CommodityId commodity = kInvalidCommodity;
   FacilityId facility = kInvalidFacility;
-  PointId point = kInvalidPoint;
-  std::uint64_t config_size = 0;  // |configuration| (1 for small opens)
   std::uint64_t stream_event = 0; // stream clock at emission (retire paths)
   double cost = 0.0;              // opening cost / connect dist / dual mass
   double bid_mass = 0.0;          // accumulated bid sum at decision time
   double tightness = 0.0;         // slack-to-tight value (or coin prob)
-  /// Top contributors by withheld bid, largest first, capped at
-  /// kMaxTraceContributors; any tail is folded into `residual`.
-  std::vector<TraceContributor> contributors;
+  /// Bid mass of the contributors beyond kMaxTraceContributors.
   double residual = 0.0;
-  std::string note;               // verifier_flag message; empty otherwise
+  CommodityId commodity = kInvalidCommodity;
+  PointId point = kInvalidPoint;
+  /// |configuration| (1 for small opens; dual_raise: the dual count).
+  /// A configuration holds at most one of each CommodityId, so 32 bits
+  /// suffice; the tracelog reader rejects larger values.
+  std::uint32_t config_size = 0;
+  TraceEventKind kind = TraceEventKind::kFacilityOpen;
+  /// Paper constraint that went tight for facility_open: 1 = connect to
+  /// an open nearby facility, 2 = reach a large facility, 3 = jointly
+  /// buy a small facility, 4 = jointly buy a large facility. 0 = n/a.
+  std::uint8_t constraint = 0;
+
+  /// Top contributors by withheld bid, largest first, capped at
+  /// kMaxTraceContributors (see set_trace_contributors); any tail is
+  /// folded into `residual`. Empty unless the event has a detail.
+  std::span<const TraceContributor> contributors() const noexcept {
+    if (!detail_) return {};
+    return detail_->contributors;
+  }
+  /// For in-place edits (id translation); never allocates a detail.
+  std::span<TraceContributor> contributors() noexcept {
+    if (!detail_) return {};
+    return detail_->contributors;
+  }
+  /// verifier_flag message; empty otherwise.
+  std::string_view note() const noexcept {
+    if (!detail_) return {};
+    return detail_->note;
+  }
+
+  /// Setters keep the detail null whenever both fields are empty.
+  void set_contributors(std::vector<TraceContributor> list) {
+    if (list.empty() && !detail_) return;
+    detail_.get_or_create().contributors = std::move(list);
+    drop_empty_detail();
+  }
+  void set_note(std::string text) {
+    if (text.empty() && !detail_) return;
+    detail_.get_or_create().note = std::move(text);
+    drop_empty_detail();
+  }
+
+  bool has_detail() const noexcept { return static_cast<bool>(detail_); }
+
+ private:
+  /// The variable-length part: only facility_open carries contributors
+  /// and only verifier_flag a note, so it lives on the heap.
+  struct Detail {
+    std::vector<TraceContributor> contributors;
+    std::string note;
+  };
+
+  /// Owning pointer with value semantics: copies deep-copy the detail,
+  /// moves take the pointer.
+  class DetailPtr {
+   public:
+    DetailPtr() = default;
+    DetailPtr(const DetailPtr& other)
+        : ptr_(other.ptr_ ? std::make_unique<Detail>(*other.ptr_)
+                          : nullptr) {}
+    DetailPtr& operator=(const DetailPtr& other) {
+      if (!other.ptr_)
+        ptr_.reset();
+      else if (ptr_)
+        *ptr_ = *other.ptr_;
+      else
+        ptr_ = std::make_unique<Detail>(*other.ptr_);
+      return *this;
+    }
+    DetailPtr(DetailPtr&&) noexcept = default;
+    DetailPtr& operator=(DetailPtr&&) noexcept = default;
+    ~DetailPtr() = default;
+
+    explicit operator bool() const noexcept { return ptr_ != nullptr; }
+    Detail* operator->() const noexcept { return ptr_.get(); }
+    /// The detail, created empty if absent.
+    Detail& get_or_create() {
+      if (!ptr_) ptr_ = std::make_unique<Detail>();
+      return *ptr_;
+    }
+    void reset() noexcept { ptr_.reset(); }
+
+   private:
+    std::unique_ptr<Detail> ptr_;
+  };
+
+  void drop_empty_detail() noexcept {
+    if (detail_->contributors.empty() && detail_->note.empty())
+      detail_.reset();
+  }
+
+  DetailPtr detail_;
 };
+
+static_assert(sizeof(TraceEvent) <= 80,
+              "TraceEvent is buffered whole-trace in memory; keep it "
+              "compact");
 
 inline constexpr std::size_t kMaxTraceContributors = 16;
 
@@ -112,7 +207,7 @@ inline void set_trace_contributors(TraceEvent& event,
       event.residual += all[i].amount;
     all.resize(kMaxTraceContributors);
   }
-  event.contributors = std::move(all);
+  event.set_contributors(std::move(all));
 }
 
 /// Receives events from the hooks; implementations must tolerate being

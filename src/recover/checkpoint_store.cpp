@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -71,10 +70,19 @@ std::optional<CheckpointManifest> parse_manifest(const std::string& path) {
 }
 
 /// The file's bytes when it is a structurally valid OMFLP-CKPT payload.
+/// Read with one sized read rather than a byte-at-a-time streambuf
+/// iterator copy: restore reads the newest generation twice per crash.
 std::optional<std::string> read_valid_payload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
-  std::string payload(std::istreambuf_iterator<char>(in), {});
+  const std::streamoff size = in.tellg();
+  if (size < 0) return std::nullopt;
+  in.seekg(0);
+  std::string payload(static_cast<std::size_t>(size), '\0');
+  in.read(payload.data(), size);
+  // A file that shrank since tellg() is validated as what was read.
+  // omflp-lint: allow(raw-reserve) shrinks to the bytes read, never grows
+  payload.resize(static_cast<std::size_t>(in.gcount()));
   if (in.bad() || !checkpoint_payload_valid(payload))
     return std::nullopt;
   return payload;

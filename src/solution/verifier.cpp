@@ -436,7 +436,7 @@ void StreamVerifier::fail_check(const std::string& what) {
     // The most recently admitted arrival, if any — the request being
     // processed when the invariant broke.
     ev.request = next_expected_ > 0 ? next_expected_ - 1 : kInvalidRequest;
-    ev.note = what;
+    ev.set_note(what);
     obs::emit(ev);
   }
 }

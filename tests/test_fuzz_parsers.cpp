@@ -315,6 +315,44 @@ TEST(FuzzParsers, TracelogCountTamperingIsRejected) {
   }
 }
 
+// config_size is held in 32 bits (a configuration holds each CommodityId
+// at most once): the reader must reject a wider value with
+// std::invalid_argument rather than truncate it, and accept the largest
+// 32-bit value, which rewrites byte for byte.
+TEST(FuzzParsers, TracelogConfigSizeBeyondUint32IsRejected) {
+  const std::string trace = valid_tracelog();
+  const std::string key = "\"config_size\":";
+  const auto with_config_size = [&](const char* kind,
+                                    const std::string& value) {
+    std::vector<std::string> lines = split_lines(trace);
+    for (std::string& line : lines) {
+      if (line.find(kind) == std::string::npos) continue;
+      const std::size_t at = line.find(key);
+      if (at == std::string::npos) continue;
+      const std::size_t digit = at + key.size();
+      std::size_t end = digit;
+      while (std::isdigit(static_cast<unsigned char>(line[end]))) ++end;
+      line = line.substr(0, digit) + value + line.substr(end);
+      return join_lines(lines);
+    }
+    ADD_FAILURE() << "no " << kind << " line with a config_size";
+    return trace;
+  };
+  for (const char* kind :
+       {"\"kind\":\"facility_open\"", "\"kind\":\"dual_raise\""}) {
+    SCOPED_TRACE(kind);
+    for (const char* wide : {"4294967296", "18446744073709551615",
+                             "99999999999999999999999"}) {
+      const std::string tampered = with_config_size(kind, wide);
+      EXPECT_THROW((void)tracelog_from_string(tampered),
+                   std::invalid_argument)
+          << wide;
+    }
+    const std::string widest = with_config_size(kind, "4294967295");
+    EXPECT_EQ(tracelog_to_string(tracelog_from_string(widest)), widest);
+  }
+}
+
 TEST(FuzzParsers, HugeDeclaredCountsAreRejectedNotAllocated) {
   const std::string stream = valid_stream_trace();
   const std::string instance = valid_instance_trace();

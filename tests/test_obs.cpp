@@ -100,19 +100,79 @@ TEST(TraceSink, ContributorsCanonicalizedAndCapped) {
   for (RequestId r = 0; r < 20; ++r)
     all.push_back({r, static_cast<double>(1 + r % 5)});
   set_trace_contributors(ev, all);
-  ASSERT_EQ(ev.contributors.size(), kMaxTraceContributors);
-  for (std::size_t i = 1; i < ev.contributors.size(); ++i) {
-    const TraceContributor& a = ev.contributors[i - 1];
-    const TraceContributor& b = ev.contributors[i];
+  ASSERT_EQ(ev.contributors().size(), kMaxTraceContributors);
+  for (std::size_t i = 1; i < ev.contributors().size(); ++i) {
+    const TraceContributor& a = ev.contributors()[i - 1];
+    const TraceContributor& b = ev.contributors()[i];
     EXPECT_TRUE(a.amount > b.amount ||
                 (a.amount == b.amount && a.request < b.request));
   }
   double total = ev.residual;
-  for (const TraceContributor& c : ev.contributors) total += c.amount;
+  for (const TraceContributor& c : ev.contributors()) total += c.amount;
   double expected = 0.0;
   for (const TraceContributor& c : all) expected += c.amount;
   EXPECT_DOUBLE_EQ(total, expected);  // the tail folds into residual
   EXPECT_GT(ev.residual, 0.0);
+}
+
+TEST(TraceEventLayout, CompactAndDetailOnlyWhenCarried) {
+  // Whole traces are buffered in memory (engine, serve --fault-plan,
+  // explain): the event stays within 80 bytes.
+  EXPECT_LE(sizeof(TraceEvent), 80u);
+  TraceEvent ev;
+  EXPECT_FALSE(ev.has_detail());
+  EXPECT_TRUE(ev.contributors().empty());
+  EXPECT_TRUE(ev.note().empty());
+  // Empty setters and mutable reads leave it without a detail.
+  ev.set_contributors({});
+  ev.set_note("");
+  EXPECT_TRUE(ev.contributors().empty());  // non-const overload
+  EXPECT_FALSE(ev.has_detail());
+  // A detail appears with either field and goes once both are empty.
+  ev.set_note("flag");
+  ev.set_contributors({{3, 1.5}});
+  EXPECT_TRUE(ev.has_detail());
+  ev.set_note("");
+  EXPECT_TRUE(ev.has_detail());
+  ev.set_contributors({});
+  EXPECT_FALSE(ev.has_detail());
+}
+
+TEST(TraceEventLayout, CopiesAreDeepAndMovesTakeTheDetail) {
+  TraceEvent original;
+  original.kind = TraceEventKind::kFacilityOpen;
+  original.request = 7;
+  original.set_contributors({{1, 2.0}, {2, 1.0}});
+  original.set_note("n");
+
+  TraceEvent copy(original);
+  ASSERT_TRUE(copy.has_detail());
+  EXPECT_NE(copy.contributors().data(), original.contributors().data());
+  copy.contributors()[0].request = 99;  // in-place edit of the copy only
+  copy.set_note("changed");
+  EXPECT_EQ(original.contributors()[0].request, 1u);
+  EXPECT_EQ(original.note(), "n");
+
+  TraceEvent assigned;
+  assigned.set_note("old detail, overwritten");
+  assigned = original;
+  EXPECT_EQ(assigned.request, 7u);
+  ASSERT_EQ(assigned.contributors().size(), 2u);
+  EXPECT_NE(assigned.contributors().data(), original.contributors().data());
+  EXPECT_EQ(assigned.note(), "n");
+  assigned = TraceEvent{};  // assigning a detail-free event drops it
+  EXPECT_FALSE(assigned.has_detail());
+
+  const TraceContributor* storage = original.contributors().data();
+  TraceEvent moved(std::move(original));
+  EXPECT_EQ(moved.contributors().data(), storage);  // the pointer moved
+  EXPECT_FALSE(original.has_detail());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(original.contributors().empty());
+  EXPECT_TRUE(original.note().empty());
+  TraceEvent target;
+  target = std::move(moved);
+  EXPECT_EQ(target.contributors().data(), storage);
+  EXPECT_FALSE(moved.has_detail());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(TraceCounter, EmittedOnlyWhenSinkInstalled) {
@@ -153,6 +213,66 @@ TEST(TraceLog, RoundTripIsByteIdentical) {
   // read -> rewrite reproduces the input byte for byte: the property that
   // makes tracelogs usable as golden-trace differential artifacts.
   EXPECT_EQ(tracelog_to_string(reread), text);
+}
+
+// Synthetic coverage of the two variable-length fields: a facility_open
+// with the full 16 contributors plus a folded residual, and a
+// verifier_flag whose note needs every escape, survive write → read →
+// write byte for byte and field for field.
+TEST(TraceLog, DetailFieldsRoundTrip) {
+  TraceEvent open;
+  open.kind = TraceEventKind::kFacilityOpen;
+  open.request = 41;
+  open.commodity = 2;
+  open.facility = 9;
+  open.point = 4000000000u;
+  open.config_size = 4294967295u;
+  open.constraint = 4;
+  open.cost = 12.5;
+  open.bid_mass = 3.0 / 7.0;
+  open.tightness = 0.1;
+  std::vector<TraceContributor> all;
+  for (RequestId r = 0; r < 20; ++r)
+    all.push_back({1000 + r, 0.25 * static_cast<double>(r + 1)});
+  set_trace_contributors(open, all);
+  ASSERT_EQ(open.contributors().size(), kMaxTraceContributors);
+  ASSERT_GT(open.residual, 0.0);
+
+  TraceEvent flag;
+  flag.kind = TraceEventKind::kVerifierFlag;
+  flag.request = 5;
+  flag.set_note("tab\there \"quoted\" back\\slash\nnew\x01\x1f end");
+
+  TraceEvent plain;  // a scalar event between them stays detail-free
+  plain.kind = TraceEventKind::kDepart;
+  plain.request = 3;
+  plain.stream_event = 77;
+
+  const std::vector<TraceEvent> events = {open, plain, flag};
+  const std::string text = tracelog_to_string(events);
+  const std::vector<TraceEvent> reread = tracelog_from_string(text);
+  ASSERT_EQ(reread.size(), 3u);
+  EXPECT_EQ(tracelog_to_string(reread), text);
+
+  const TraceEvent& o = reread[0];
+  EXPECT_EQ(o.request, open.request);
+  EXPECT_EQ(o.commodity, open.commodity);
+  EXPECT_EQ(o.facility, open.facility);
+  EXPECT_EQ(o.point, open.point);
+  EXPECT_EQ(o.config_size, open.config_size);
+  EXPECT_EQ(o.constraint, open.constraint);
+  EXPECT_EQ(o.bid_mass, open.bid_mass);
+  EXPECT_EQ(o.residual, open.residual);
+  ASSERT_EQ(o.contributors().size(), kMaxTraceContributors);
+  for (std::size_t i = 0; i < kMaxTraceContributors; ++i) {
+    EXPECT_EQ(o.contributors()[i].request, open.contributors()[i].request);
+    EXPECT_EQ(o.contributors()[i].amount, open.contributors()[i].amount);
+  }
+  EXPECT_TRUE(o.note().empty());
+  EXPECT_FALSE(reread[1].has_detail());
+  EXPECT_EQ(reread[1].stream_event, 77u);
+  EXPECT_EQ(reread[2].note(), flag.note());
+  EXPECT_TRUE(reread[2].contributors().empty());
 }
 
 TEST(TraceLog, EmptyTraceRoundTrips) {
@@ -284,7 +404,7 @@ TEST(TraceLog, BufferedWriterIsByteIdenticalAndAtomicPerEvent) {
   TraceEvent flag;
   flag.kind = TraceEventKind::kVerifierFlag;
   flag.request = 3;
-  flag.note = "a\"b\\c\nd\r\t\x01\x1f~";
+  flag.set_note("a\"b\\c\nd\r\t\x01\x1f~");
   std::vector<TraceEvent> events = {flag};
   std::string expected = kTraceLogHeader;
   expected +=
@@ -318,7 +438,8 @@ TEST(TraceLog, BufferedWriterIsByteIdenticalAndAtomicPerEvent) {
   EXPECT_EQ(writer.events_written(), before);
   TraceEvent open;
   open.kind = TraceEventKind::kFacilityOpen;
-  open.contributors = {{1, 2.0}, {2, std::numeric_limits<double>::infinity()}};
+  open.set_contributors(
+      {{1, 2.0}, {2, std::numeric_limits<double>::infinity()}});
   EXPECT_THROW(writer.on_event(open), std::invalid_argument);
   EXPECT_EQ(writer.events_written(), before);
 
@@ -632,9 +753,9 @@ TEST(Explain, HandComputedOpeningChain) {
   EXPECT_EQ(open->config_size, 1u);
   EXPECT_EQ(open->constraint, 3);  // joint investment, small facility
   EXPECT_DOUBLE_EQ(open->cost, 4.0);  // f({e}) = 4·1
-  ASSERT_EQ(open->contributors.size(), 1u);
-  EXPECT_EQ(open->contributors[0].request, 0u);
-  EXPECT_DOUBLE_EQ(open->contributors[0].amount, 4.0);
+  ASSERT_EQ(open->contributors().size(), 1u);
+  EXPECT_EQ(open->contributors()[0].request, 0u);
+  EXPECT_DOUBLE_EQ(open->contributors()[0].amount, 4.0);
 
   // The rendered causal chain names the decision's ingredients.
   const std::string chain =

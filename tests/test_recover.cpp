@@ -943,5 +943,70 @@ TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {
                std::invalid_argument);
 }
 
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A golden decision trace: the tracelog of a small crash-injected PD
+// serve (lease-heavy tenants, capacity 6 with reject) is pinned by its
+// FNV-1a 64 digest, recorded before TraceEvent moved its contributors
+// and note behind a pointer. The CI cmp steps compare two runs of one
+// build; this digest also catches a change that moves both runs alike
+// (a field narrowed, dropped or reordered on the way to the log). The
+// run mirrors `omflp serve --fault-plan`: the trace is buffered in
+// memory and rewound to the restored manifest's trace_seq per crash.
+TEST(EngineRecovery, FaultPlanTracelogMatchesGoldenDigest) {
+  std::vector<TenantSpec> specs =
+      default_workload_mix_registry().tenants("lease-heavy", 4, 1, 0.5);
+  ScratchDir dir("golden-trace");
+  EngineOptions options;
+  options.batch_size = 512;
+  options.capacity = 6;
+  options.overflow = OverflowPolicy::kReject;
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 2;
+  FaultPlan plan = FaultPlan::parse("crashes=1,seed=3,gap=4");
+  options.fault_plan = &plan;
+  TraceBuffer trace;
+  options.trace_sink = &trace;
+
+  std::uint64_t restarts = 0;
+  for (;;) {
+    try {
+      ShardedEngine(specs, options).run();
+      break;
+    } catch (const EngineCrash&) {
+      ++restarts;
+      const auto manifest = CheckpointStore(options.checkpoint_dir)
+                                .latest_valid();
+      const std::uint64_t keep = manifest ? manifest->trace_seq : 0;
+      if (trace.events().size() > keep) trace.events().resize(keep);
+    }
+  }
+  ASSERT_EQ(restarts, 1u);
+
+  std::ostringstream os;
+  TraceLogWriter writer(os);
+  std::size_t opens_with_contributors = 0;
+  for (const TraceEvent& event : trace.events()) {
+    writer.on_event(event);
+    if (event.kind == TraceEventKind::kFacilityOpen &&
+        !event.contributors().empty())
+      ++opens_with_contributors;
+  }
+  writer.finish();
+  const std::string log = os.str();
+  // The workload exercises contributor lists, not only scalar events.
+  EXPECT_GT(opens_with_contributors, 0u);
+  EXPECT_EQ(writer.events_written(), 26034u);
+  EXPECT_EQ(log.size(), 2469060u);
+  EXPECT_EQ(fnv1a64(log), 0xdb245cae31aa7f7dULL);
+}
+
 }  // namespace
 }  // namespace omflp

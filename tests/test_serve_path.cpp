@@ -17,6 +17,7 @@
 #include "instance/checkpoint_io.hpp"
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
+#include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/rng.hpp"
 
@@ -418,6 +419,56 @@ TEST(PdServeAllocations, SteadyStateServeAllocatesNothing) {
     EXPECT_EQ(allocating, 0u)
         << pd.name() << ": serve() calls that allocated, of " << checked;
   }
+}
+
+// ------------------------------------------- TraceEvent without detail ---
+
+/// Keeps the last event by copy-assignment into one preallocated slot, so
+/// the sink itself never allocates.
+struct LastEventSink final : TraceSink {
+  void on_event(const TraceEvent& event) override { last = event; }
+  TraceEvent last;
+};
+
+TEST(TraceEventAllocations, ScalarEventsCopyAndEmitWithoutAllocating) {
+  TraceEvent scalar;
+  scalar.kind = TraceEventKind::kRequestAssign;
+  scalar.request = 12;
+  scalar.facility = 3;
+  scalar.cost = 1.25;
+  TraceEvent open;
+  open.kind = TraceEventKind::kFacilityOpen;
+  open.set_contributors({{1, 2.0}});
+  LastEventSink sink;
+  TraceScope scope(sink);
+  {
+    AllocationCount count;
+    const TraceEvent copy(scalar);
+    TraceEvent assigned;
+    assigned = copy;
+    assigned.set_contributors({});
+    assigned.set_note({});
+    for (TraceContributor& c : assigned.contributors()) c.request = 0;
+    obs::emit(assigned);
+    EXPECT_EQ(count.count(), 0u) << "a detail-free event allocated";
+  }
+  EXPECT_EQ(sink.last.request, 12u);
+  EXPECT_FALSE(sink.last.has_detail());
+  {
+    // Premise: the counter sees a detail being copied.
+    AllocationCount count;
+    obs::emit(open);
+    EXPECT_GE(count.count(), 2u) << "detail and contributor list";
+  }
+  ASSERT_EQ(sink.last.contributors().size(), 1u);
+  {
+    // Overwriting an event that has a detail with one that has none
+    // frees it and allocates nothing.
+    AllocationCount count;
+    obs::emit(scalar);
+    EXPECT_EQ(count.count(), 0u);
+  }
+  EXPECT_FALSE(sink.last.has_detail());
 }
 
 }  // namespace

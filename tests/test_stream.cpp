@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/fotakis_ofl.hpp"
@@ -25,6 +30,7 @@
 #include "obs/trace_sink.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
+#include "support/rng.hpp"
 
 namespace omflp {
 namespace {
@@ -156,6 +162,111 @@ TEST(EventStream, SurvivingSetRespectsLeasesAndDepartures) {
   ASSERT_EQ(surviving.num_requests(), 2u);
   EXPECT_EQ(surviving.request(0).location, 1u);
   EXPECT_EQ(surviving.request(1).location, 3u);
+}
+
+/// The lease-heap timeline rule validate() used to implement, kept as the
+/// reference: before event t, every lease deadline <= t fires (in arrival
+/// order); a departure is valid iff its target has arrived and is still
+/// active. Returns validate()'s message for the first failing event, or
+/// nothing; `survivors` receives the arrivals still active at the end and
+/// `expired_target` whether a rejected target's lease had run out (as
+/// opposed to it having departed).
+std::optional<std::string> heap_reference_timeline(
+    const std::vector<StreamEvent>& events,
+    std::vector<RequestId>* survivors, bool* expired_target) {
+  using Expiry = std::pair<std::uint64_t, RequestId>;
+  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
+      expiries;
+  std::vector<bool> active;
+  std::vector<bool> expired;
+  for (std::size_t t = 0; t < events.size(); ++t) {
+    while (!expiries.empty() && expiries.top().first <= t) {
+      const RequestId id = expiries.top().second;
+      if (active[id]) expired[id] = true;
+      active[id] = false;
+      expiries.pop();
+    }
+    const StreamEvent& e = events[t];
+    const std::string where = "EventStream: event " + std::to_string(t);
+    if (e.kind == StreamEvent::Kind::kArrival) {
+      const RequestId id = active.size();
+      active.push_back(true);
+      expired.push_back(false);
+      if (e.lease > 0) expiries.emplace(lease_deadline(t, e.lease), id);
+    } else if (e.target >= active.size()) {
+      return where + ": departure of an arrival that has not happened";
+    } else if (!active[e.target]) {
+      *expired_target = expired[e.target];
+      return where + ": departure of an arrival that is no longer active";
+    } else {
+      active[e.target] = false;
+    }
+  }
+  survivors->clear();
+  for (RequestId id = 0; id < active.size(); ++id)
+    if (active[id]) survivors->push_back(id);
+  return std::nullopt;
+}
+
+TEST(EventStream, DeadlineTimelineMatchesTheLeaseHeapReference) {
+  SmallWorld w;
+  Rng rng(20261020);
+  std::size_t valid = 0, unborn = 0, departed = 0, expired = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<StreamEvent> events;
+    std::size_t arrivals = 0;
+    const auto length = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    for (std::size_t t = 0; t < length; ++t) {
+      if (arrivals == 0 || rng.bernoulli(0.55)) {
+        // Mostly short leases so expiries race departures; some none,
+        // some saturating.
+        const double pick = rng.uniform();
+        const std::uint64_t lease =
+            pick < 0.3    ? 0
+            : pick < 0.95 ? static_cast<std::uint64_t>(
+                                rng.uniform_int(1, 8))
+                          : ~std::uint64_t{0} - rng.uniform_int(0, 2);
+        events.push_back(StreamEvent::arrival(
+            make_request(2, static_cast<PointId>(rng.uniform_int(0, 7)),
+                         {static_cast<CommodityId>(rng.uniform_int(0, 1))}),
+            lease));
+        ++arrivals;
+      } else {
+        // Any past arrival (active, departed or lease-expired), rarely a
+        // future one.
+        const std::int64_t hi = static_cast<std::int64_t>(arrivals) - 1 +
+                                (rng.bernoulli(0.03) ? 3 : 0);
+        events.push_back(StreamEvent::departure(
+            static_cast<RequestId>(rng.uniform_int(0, hi))));
+      }
+    }
+    std::vector<RequestId> expected_survivors;
+    bool expired_target = false;
+    const std::optional<std::string> expected = heap_reference_timeline(
+        events, &expected_survivors, &expired_target);
+    const EventStream stream(w.metric, w.cost, events, "diff");
+    std::optional<std::string> actual;
+    try {
+      stream.validate();
+    } catch (const std::invalid_argument& e) {
+      actual = e.what();
+    }
+    ASSERT_EQ(actual, expected) << "trial " << trial;
+    if (!expected) {
+      ++valid;
+      ASSERT_EQ(stream.surviving_arrivals(), expected_survivors)
+          << "trial " << trial;
+    } else if (expected->find("not happened") != std::string::npos) {
+      ++unborn;
+    } else {
+      ++(expired_target ? expired : departed);
+    }
+  }
+  // Every branch of the rule is exercised many times.
+  EXPECT_GT(valid, 300u);
+  EXPECT_GT(unborn, 30u);
+  EXPECT_GT(departed, 100u);
+  EXPECT_GT(expired, 100u);
 }
 
 // ------------------------------------------------------------ accounting ---
@@ -640,7 +751,16 @@ struct TracedPdRun {
   double total_dual = 0.0;
   std::string tracelog;
   std::size_t resident_slots = 0;  // PD's past requests still held
+  PdOmflp::ResidentFootprint footprint;
 };
+
+/// compact_departed()'s live-set bound: every per-request buffer keeps
+/// at most 4x the capacity its entries need.
+void expect_capacity_within_4x(const PdOmflp::ResidentFootprint& f) {
+  EXPECT_LE(f.requests_capacity, 4 * f.requests);
+  EXPECT_LE(f.slots_capacity, 4 * f.slots);
+  EXPECT_LE(f.index_capacity, 4 * f.index_entries);
+}
 
 TracedPdRun traced_pd_run(const EventStream& stream, bool compact) {
   PdOmflp pd;
@@ -658,7 +778,7 @@ TracedPdRun traced_pd_run(const EventStream& stream, bool compact) {
   const auto issue = pd.audit_state();
   EXPECT_FALSE(issue.has_value()) << *issue;
   return TracedPdRun{std::move(result), pd.total_dual(), os.str(),
-                     pd.dual_records().size()};
+                     pd.dual_records().size(), pd.resident_footprint()};
 }
 
 // Dropping departed PD slots and retired ledger records changes nothing
@@ -689,7 +809,36 @@ TEST(StreamRunner, PdCompactionIsBitwiseNeutral) {
     EXPECT_EQ(compacted.resident_slots, a.num_active_requests());
     EXPECT_EQ(a.request_records().size(), a.num_active_requests());
     EXPECT_LT(compacted.resident_slots, dense.resident_slots);
+    expect_capacity_within_4x(compacted.footprint);
   }
+}
+
+// A burst that departs leaves buffers sized for the live set, not for
+// the burst: past_, slots_ and every per-commodity list are trimmed.
+TEST(StreamRunner, PdResidentCapacityFollowsTheLiveSetAfterABurst) {
+  SmallWorld w;
+  std::vector<StreamEvent> events;
+  const std::size_t burst = 600;
+  for (std::size_t i = 0; i < burst; ++i)
+    events.push_back(StreamEvent::arrival(make_request(
+        2, static_cast<PointId>(i % 8),
+        i % 3 == 0 ? std::initializer_list<CommodityId>{0, 1}
+                   : std::initializer_list<CommodityId>{
+                         static_cast<CommodityId>(i % 2)})));
+  for (RequestId id = 0; id + 12 < burst; ++id)
+    events.push_back(StreamEvent::departure(id));
+  const EventStream stream(w.metric, w.cost, events, "burst");
+
+  PdOmflp pd;
+  StreamRunOptions options;
+  options.batch_size = 64;
+  options.verify = true;
+  const StreamRunResult result = run_stream(pd, stream, options);
+  EXPECT_FALSE(result.violation.has_value());
+  const PdOmflp::ResidentFootprint f = pd.resident_footprint();
+  EXPECT_EQ(f.requests, 12u);
+  EXPECT_GT(f.index_entries, 0u);
+  expect_capacity_within_4x(f);
 }
 
 // Soak: ten times the stream length leaves the checkpoint size where it

@@ -37,11 +37,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -689,6 +691,22 @@ struct VecTraceSink final : TraceSink {
   }
 };
 
+// Peak resident set size in kB: VmHWM from /proc/self/status, or nothing
+// where that file or field is unavailable (non-Linux hosts).
+std::optional<std::uint64_t> peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) != 0) continue;
+    const std::size_t begin = line.find_first_of("0123456789");
+    if (begin == std::string::npos) return std::nullopt;
+    const std::size_t end = line.find_first_not_of("0123456789", begin);
+    return parse_u64_strict(std::string_view(line).substr(
+        begin, end == std::string::npos ? std::string::npos : end - begin));
+  }
+  return std::nullopt;
+}
+
 // The deterministic per-tenant block: costs, events and facility counts
 // are pure functions of the tenant specs — independent of shards,
 // threads, crash/restore cycles and placement. CI diffs it across shard
@@ -934,6 +952,16 @@ int cmd_serve(const std::vector<std::string>& args) {
               << ": " << result.aggregate_shed_requests
               << " requests shed, " << result.aggregate_spilled_assignments
               << " assignments spilled\n";
+  // Host-dependent, like the throughput line: printed, never part of the
+  // deterministic report written by --report-out.
+  if (const auto kb = peak_rss_kb()) {
+    std::ostringstream mb;
+    mb << std::fixed << std::setprecision(1)
+       << static_cast<double>(*kb) / 1024.0;
+    std::cout << "memory     peak RSS " << mb.str() << " MB (VmHWM)\n";
+  } else {
+    std::cout << "memory     peak RSS n/a\n";
+  }
 
   const std::string report = tenant_report(result, options.verify);
   std::cout << report;
