@@ -130,6 +130,15 @@ BoundOutcome run_auto(const Instance& instance,
 
 }  // namespace
 
+BoundOutcome certificate_outcome(const Instance& instance,
+                                 const BoundOutcome& outcome) {
+  if (outcome.certificate) return outcome;
+  if (!outcome.exact)
+    throw std::invalid_argument("bound: method '" + outcome.method +
+                                "' produced no certificate to save");
+  return run_dual_ascent(instance, DualAscentOptions{});
+}
+
 const BoundRegistry& default_bound_registry() {
   static const BoundRegistry registry = [] {
     BoundRegistry r;

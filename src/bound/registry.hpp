@@ -65,6 +65,16 @@ class BoundRegistry {
   std::map<std::string, BoundMethodSpec> specs_;
 };
 
+/// The outcome whose verified dual certificate `omflp bound --save-cert`
+/// writes: `outcome` itself when it carries one; for an exact outcome
+/// (exact solver or generator certificate, which certify themselves and
+/// carry none) the registry's dual-ascent outcome on `instance`, whose
+/// certificate passed verify_certificate and whose lower bound is the one
+/// the file certifies. Throws std::invalid_argument for an inexact
+/// outcome without a certificate (a chunked bound has one per chunk).
+BoundOutcome certificate_outcome(const Instance& instance,
+                                 const BoundOutcome& outcome);
+
 /// Registry with the standard roster (shared, initialized on first use,
 /// safe for concurrent readers):
 ///   dual-ascent — the native bounder + verify_certificate (always

@@ -8,6 +8,7 @@
 // uses it, which makes offline costs exact *given* the facility set.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -29,14 +30,20 @@ std::vector<double> assignment_dp(const MetricSpace& metric,
                                   std::span<const PlacedFacility> facilities,
                                   const Request& request);
 
-/// The same table with d(request.location, facilities[f].point) read from
-/// distances[f] instead of the metric — for callers that price many
-/// facility sets against the same points and keep distance rows. Bitwise
-/// equal to the metric overload when every distances[f] is the metric's
-/// distance(request.location, facilities[f].point).
-std::vector<double> assignment_dp(std::span<const PlacedFacility> facilities,
-                                  std::span<const double> distances,
-                                  const Request& request);
+/// A facility that covers part of a request's demand: the mask of the
+/// demand it covers (bit b = b-th smallest commodity in s_r) and its
+/// distance to the request.
+struct UsableFacility {
+  std::uint32_t cover = 0;
+  double distance = 0.0;
+};
+
+/// The DP itself, over the usable facilities in the order given: fills
+/// dp[0 .. 2^k) for a demand set of k <= 20 commodities. The overload
+/// above runs it over the facilities in facility order, so a caller that
+/// lists them in that order gets the same table bit for bit.
+void assignment_dp(std::span<const UsableFacility> usable, std::size_t k,
+                   std::span<double> dp);
 
 /// Convenience: just the optimal connection cost for the request.
 double optimal_assignment_cost(const MetricSpace& metric,

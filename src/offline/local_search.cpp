@@ -4,178 +4,105 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <unordered_set>
 
 #include "support/assert.hpp"
 
 namespace omflp {
 
-namespace {
-
-struct Pools {
-  std::vector<PointId> points;
-  std::vector<CommoditySet> configs;
-};
-
-Pools build_pools(const Instance& instance,
-                  const LocalSearchOptions& options) {
-  Pools pools;
-  const std::size_t m = instance.metric().num_points();
-  if (m <= options.all_points_limit) {
-    pools.points.resize(m);
-    for (PointId p = 0; p < m; ++p) pools.points[p] = p;
-  } else {
-    std::unordered_set<PointId> seen;
-    for (const Request& r : instance.requests())
-      if (seen.insert(r.location).second)
-        pools.points.push_back(r.location);
-    std::sort(pools.points.begin(), pools.points.end());
-  }
-
-  const CommodityId s = instance.num_commodities();
-  const CommoditySet demanded = instance.demanded_union();
-  std::unordered_set<CommoditySet, CommoditySetHash> configs;
-  demanded.for_each([&](CommodityId e) {
-    configs.insert(CommoditySet::singleton(s, e));
-  });
-  for (const Request& r : instance.requests())
-    configs.insert(r.commodities);
-  configs.insert(demanded);
-  configs.insert(CommoditySet::full_set(s));
-  pools.configs.assign(configs.begin(), configs.end());
-  // Deterministic order (unordered_set iteration order is unspecified).
-  std::sort(pools.configs.begin(), pools.configs.end(),
-            [](const CommoditySet& a, const CommoditySet& b) {
-              if (a.count() != b.count()) return a.count() < b.count();
-              return a.to_vector() < b.to_vector();
-            });
-  return pools;
+LocalSearchState::LocalSearchState(const CandidatePool& pool)
+    : pool_(pool), instance_(pool.instance()) {
+  table_begin_.reserve(instance_.num_requests() + 1);
+  table_begin_.push_back(0);
+  for (std::size_t i = 0; i < instance_.num_requests(); ++i)
+    table_begin_.push_back(table_begin_.back() +
+                           (std::size_t{1} << pool.demand_size(i)));
+  tables_.resize(table_begin_.back());
 }
 
-class SearchState {
- public:
-  /// `points` (ascending) must hold every point a facility is priced or
-  /// opened at. For each, one row of d(r.location, p) over the requests
-  /// is read from the metric once, in the argument order the per-pair
-  /// calls used, so every distance the search reads is bitwise the
-  /// metric's.
-  SearchState(const Instance& instance, const std::vector<PointId>& points)
-      : instance_(instance), points_(points) {
-    rows_.reserve(points.size() * instance.num_requests());
-    for (PointId p : points)
-      for (const Request& r : instance.requests())
-        rows_.push_back(instance.metric().distance(r.location, p));
-  }
+void LocalSearchState::set_facilities(
+    std::vector<PlacedFacility> facilities) {
+  facilities_ = std::move(facilities);
+  rebuild();
+}
 
-  void set_facilities(std::vector<PlacedFacility> facilities) {
-    facilities_ = std::move(facilities);
-    rebuild();
+double LocalSearchState::add_delta(std::size_t k, std::size_t j) const {
+  double delta = pool_.open_cost(k, j);
+  const double* distance = pool_.row(k);
+  for (const CandidatePool::Cover& c : pool_.covers(j)) {
+    const std::span<const double> dp = table_of(c.request);
+    const std::size_t full = dp.size() - 1;
+    // Optimal cover using the new facility at most once.
+    const double with_f =
+        dp[full & ~std::size_t{c.mask}] + distance[c.request];
+    if (with_f < dp[full]) delta += with_f - dp[full];
   }
+  return delta;
+}
 
-  const std::vector<PlacedFacility>& facilities() const {
-    return facilities_;
-  }
-  double opening_cost() const { return opening_; }
-  double connection_cost() const { return connection_; }
-  double total_cost() const { return opening_ + connection_; }
-
-  /// Cost delta of adding facility f (negative = improvement), computed
-  /// from the cached DP tables in O(n·2^k) without rebuilding.
-  double add_delta(const PlacedFacility& f) const {
-    double delta = instance_.cost().open_cost(f.point, f.config);
-    const double* distance = row_of(f.point);
-    for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
-      const std::vector<double>& dp = dp_tables_[i];
-      const std::vector<CommodityId>& members = members_[i];
-      std::size_t cov = 0;
-      for (std::size_t b = 0; b < members.size(); ++b)
-        if (f.config.contains(members[b])) cov |= (std::size_t{1} << b);
-      if (cov == 0) continue;
-      const double d = distance[i];
-      const std::size_t full = dp.size() - 1;
-      // Optimal cover using the new facility at most once.
-      const double with_f = dp[full & ~cov] + d;
-      if (with_f < dp[full]) delta += with_f - dp[full];
+double LocalSearchState::drop_delta(std::size_t fi) {
+  double connect = 0.0;
+  for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+    const std::span<const double> table = table_of(i);
+    double c = table.back();
+    const std::size_t first = usable_begin_[i];
+    const std::size_t last = usable_begin_[i + 1];
+    std::size_t at = first;
+    while (at < last && usable_facility_[at] != fi) ++at;
+    if (at < last) {
+      reduced_.assign(usable_.begin() + static_cast<std::ptrdiff_t>(first),
+                      usable_.begin() + static_cast<std::ptrdiff_t>(last));
+      reduced_.erase(reduced_.begin() +
+                     static_cast<std::ptrdiff_t>(at - first));
+      scratch_.resize(table.size());
+      assignment_dp(reduced_, pool_.demand_size(i), scratch_);
+      c = scratch_.back();
     }
-    return delta;
+    if (!std::isfinite(c)) return kInfiniteDistance;
+    connect += c;
   }
+  if (!std::isfinite(connect)) return kInfiniteDistance;
+  const double opening =
+      opening_ - instance_.cost().open_cost(facilities_[fi].point,
+                                            facilities_[fi].config);
+  return opening + connect - total_cost();
+}
 
-  /// Cost delta of dropping facility index fi (infinity if infeasible).
-  /// A request whose demand set misses the facility's configuration never
-  /// lists it as usable, so its DP table is unchanged and its cached cost
-  /// is reused; the sum runs in request order like
-  /// total_assignment_cost, infinity included.
-  double drop_delta(std::size_t fi) const {
-    std::vector<PlacedFacility> reduced = facilities_;
-    reduced.erase(reduced.begin() + static_cast<std::ptrdiff_t>(fi));
-    std::vector<const double*> reduced_rows = facility_rows_;
-    reduced_rows.erase(reduced_rows.begin() +
-                       static_cast<std::ptrdiff_t>(fi));
-    std::vector<double> distances(reduced.size());
-    const CommoditySet& dropped = facilities_[fi].config;
-    double connect = 0.0;
-    for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
-      const Request& r = instance_.request(i);
-      double c = dp_tables_[i].back();
-      if (r.commodities.intersects(dropped)) {
-        for (std::size_t g = 0; g < reduced.size(); ++g)
-          distances[g] = reduced_rows[g][i];
-        c = assignment_dp(std::span(reduced), distances, r).back();
+std::span<const double> LocalSearchState::table_of(std::size_t i) const {
+  return {tables_.data() + table_begin_[i],
+          tables_.data() + table_begin_[i + 1]};
+}
+
+void LocalSearchState::rebuild() {
+  opening_ = 0.0;
+  std::vector<const double*> rows;
+  rows.reserve(facilities_.size());
+  for (const PlacedFacility& f : facilities_) {
+    opening_ += instance_.cost().open_cost(f.point, f.config);
+    rows.push_back(pool_.row_of(f.point));
+  }
+  connection_ = 0.0;
+  usable_.clear();
+  usable_facility_.clear();
+  usable_begin_.assign(1, 0);
+  for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+    const std::size_t first = usable_.size();
+    for (std::size_t g = 0; g < facilities_.size(); ++g) {
+      if (const std::uint32_t mask =
+              pool_.local_mask(i, facilities_[g].config)) {
+        usable_.push_back(UsableFacility{mask, rows[g][i]});
+        usable_facility_.push_back(g);
       }
-      if (!std::isfinite(c)) return kInfiniteDistance;
-      connect += c;
     }
-    if (!std::isfinite(connect)) return kInfiniteDistance;
-    const double opening =
-        opening_ - instance_.cost().open_cost(facilities_[fi].point,
-                                              facilities_[fi].config);
-    return opening + connect - total_cost();
+    usable_begin_.push_back(usable_.size());
+    const std::span<double> table(tables_.data() + table_begin_[i],
+                                  tables_.data() + table_begin_[i + 1]);
+    assignment_dp(std::span(usable_).subspan(first), pool_.demand_size(i),
+                  table);
+    connection_ += table.back();
   }
+}
 
- private:
-  const double* row_of(PointId p) const {
-    const auto it = std::lower_bound(points_.begin(), points_.end(), p);
-    OMFLP_CHECK(it != points_.end() && *it == p,
-                "solve_local_search: facility outside the candidate pool");
-    return rows_.data() + static_cast<std::size_t>(it - points_.begin()) *
-                              instance_.num_requests();
-  }
-
-  void rebuild() {
-    opening_ = 0.0;
-    facility_rows_.clear();
-    for (const PlacedFacility& f : facilities_) {
-      opening_ += instance_.cost().open_cost(f.point, f.config);
-      facility_rows_.push_back(row_of(f.point));
-    }
-    connection_ = 0.0;
-    dp_tables_.clear();
-    members_.clear();
-    dp_tables_.reserve(instance_.num_requests());
-    members_.reserve(instance_.num_requests());
-    std::vector<double> distances(facilities_.size());
-    for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
-      const Request& r = instance_.request(i);
-      for (std::size_t f = 0; f < facilities_.size(); ++f)
-        distances[f] = facility_rows_[f][i];
-      dp_tables_.push_back(
-          assignment_dp(std::span(facilities_), distances, r));
-      members_.push_back(r.commodities.to_vector());
-      connection_ += dp_tables_.back().back();
-    }
-  }
-
-  const Instance& instance_;
-  const std::vector<PointId>& points_;
-  /// rows_[k·n + i] = d(request i's location, points_[k]).
-  std::vector<double> rows_;
-  std::vector<PlacedFacility> facilities_;
-  std::vector<const double*> facility_rows_;  // aligned with facilities_
-  std::vector<std::vector<double>> dp_tables_;
-  std::vector<std::vector<CommodityId>> members_;
-  double opening_ = 0.0;
-  double connection_ = 0.0;
-};
+namespace {
 
 std::vector<PlacedFacility> initial_solution(const Instance& instance) {
   // One facility per distinct request location holding the union of
@@ -196,13 +123,10 @@ std::vector<PlacedFacility> initial_solution(const Instance& instance) {
 
 }  // namespace
 
-OfflineSolution solve_local_search(const Instance& instance,
+OfflineSolution solve_local_search(const CandidatePool& pool,
                                    const LocalSearchOptions& options) {
-  OMFLP_REQUIRE(instance.num_requests() > 0,
-                "solve_local_search: empty instance");
-  const Pools pools = build_pools(instance, options);
-  SearchState state(instance, pools.points);
-  state.set_facilities(initial_solution(instance));
+  LocalSearchState state(pool);
+  state.set_facilities(initial_solution(pool.instance()));
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     double best_delta = -1e-9;  // strict improvement only
@@ -210,14 +134,13 @@ OfflineSolution solve_local_search(const Instance& instance,
     PlacedFacility best_add;
     std::size_t best_drop = 0;
 
-    for (PointId p : pools.points) {
-      for (const CommoditySet& config : pools.configs) {
-        const PlacedFacility candidate{p, config};
-        const double delta = state.add_delta(candidate);
+    for (std::size_t k = 0; k < pool.points().size(); ++k) {
+      for (std::size_t j = 0; j < pool.configs().size(); ++j) {
+        const double delta = state.add_delta(k, j);
         if (delta < best_delta) {
           best_delta = delta;
           kind = Kind::kAdd;
-          best_add = candidate;
+          best_add = PlacedFacility{pool.points()[k], pool.configs()[j]};
         }
       }
     }
@@ -257,6 +180,13 @@ OfflineSolution solve_local_search(const Instance& instance,
   solution.exact = false;
   solution.method = "local-search";
   return solution;
+}
+
+OfflineSolution solve_local_search(const Instance& instance,
+                                   const LocalSearchOptions& options) {
+  OMFLP_REQUIRE(instance.num_requests() > 0,
+                "solve_local_search: empty instance");
+  return solve_local_search(CandidatePool(instance), options);
 }
 
 }  // namespace omflp

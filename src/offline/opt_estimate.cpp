@@ -130,11 +130,11 @@ OptEstimate estimate_opt(const Instance& instance,
   OptEstimate best;
   best.cost = kInfiniteDistance;
   if (options.allow_local_search) {
-    const OfflineSolution sol =
-        solve_local_search(instance, options.local_search);
+    const CandidatePool pool(instance);
+    const OfflineSolution sol = solve_local_search(pool, options.local_search);
     best = OptEstimate{sol.cost, sol.exact, sol.method};
     if (options.use_greedy_star) {
-      const OfflineSolution greedy = solve_greedy_star(instance);
+      const OfflineSolution greedy = solve_greedy_star(pool);
       if (greedy.cost < best.cost)
         best = OptEstimate{greedy.cost, greedy.exact, greedy.method};
     }

@@ -40,21 +40,34 @@ std::optional<std::string> check_facility(const MetricSpace& metric,
   return std::nullopt;
 }
 
-/// The per-request re-derivation shared by every verifier: coverage,
-/// causality, connected-list consistency and the recomputed connection
-/// cost (returned through `connection` on success).
-std::optional<std::string> check_record(const MetricSpace& metric,
-                                        const FacilityCostModel& cost,
-                                        const SolutionLedger& ledger,
-                                        RequestId id,
-                                        const Request& expected,
-                                        const RequestRecord& rec,
-                                        double tolerance,
-                                        double& connection) {
+/// Whether rec.connected is the strictly ascending list of the distinct
+/// facilities rec.served uses, checked without building that list.
+bool connected_matches_served(const RequestRecord& rec) {
+  const std::vector<FacilityId>& connected = rec.connected;
+  for (std::size_t k = 1; k < connected.size(); ++k)
+    if (connected[k - 1] >= connected[k]) return false;
+  for (const ServedCommodity& sc : rec.served)
+    if (!std::binary_search(connected.begin(), connected.end(), sc.facility))
+      return false;
+  for (const FacilityId f : connected)
+    if (std::none_of(rec.served.begin(), rec.served.end(),
+                     [&](const ServedCommodity& sc) {
+                       return sc.facility == f;
+                     }))
+      return false;
+  return true;
+}
+
+}  // namespace
+
+std::optional<std::string> check_request_record(
+    const MetricSpace& metric, const FacilityCostModel& cost,
+    const SolutionLedger& ledger, RequestId id, const Request& expected,
+    const RequestRecord& rec, double tolerance, double& connection) {
   OMFLP_PERF_COUNT(verifier_checks);
-  std::ostringstream os;
   if (!(rec.request.location == expected.location &&
         rec.request.commodities == expected.commodities)) {
+    std::ostringstream os;
     os << "request " << id << " in ledger differs from the input";
     return os.str();
   }
@@ -86,6 +99,7 @@ std::optional<std::string> check_record(const MetricSpace& metric,
     covered.add(e);
   }
   if (!(covered == expected.commodities)) {
+    std::ostringstream os;
     os << "request " << id << " not exactly covered: got "
        << covered.to_string() << ", demanded "
        << expected.commodities.to_string();
@@ -94,16 +108,9 @@ std::optional<std::string> check_record(const MetricSpace& metric,
 
   double expect_conn = 0.0;
   if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
-    // rec.connected must be the sorted distinct facility list.
-    std::vector<FacilityId> distinct;
-    for (const ServedCommodity& sc : rec.served)
-      distinct.push_back(sc.facility);
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    if (distinct != rec.connected)
+    if (!connected_matches_served(rec))
       return "connected-facility list inconsistent with assignments";
-    for (FacilityId f : distinct)
+    for (const FacilityId f : rec.connected)
       expect_conn +=
           metric.distance(expected.location, ledger.facility(f).location);
   } else {
@@ -113,6 +120,7 @@ std::optional<std::string> check_record(const MetricSpace& metric,
   }
   if (std::abs(expect_conn - rec.connection_cost) >
       tolerance * (1.0 + expect_conn)) {
+    std::ostringstream os;
     os << "request " << id << " connection cost " << rec.connection_cost
        << " != recomputed " << expect_conn;
     return os.str();
@@ -120,8 +128,6 @@ std::optional<std::string> check_record(const MetricSpace& metric,
   connection = expect_conn;
   return std::nullopt;
 }
-
-}  // namespace
 
 std::optional<VerificationError> verify_solution(const Instance& instance,
                                                  const SolutionLedger& ledger,
@@ -209,16 +215,9 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
 
     double expect_conn = 0.0;
     if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
-      // rec.connected must be the sorted distinct facility list.
-      std::vector<FacilityId> distinct;
-      for (const ServedCommodity& sc : rec.served)
-        distinct.push_back(sc.facility);
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      if (distinct != rec.connected)
+      if (!connected_matches_served(rec))
         return fail("connected-facility list inconsistent with assignments");
-      for (FacilityId f : distinct)
+      for (const FacilityId f : rec.connected)
         expect_conn += metric.distance(expected.location,
                                        ledger.facility(f).location);
     } else {
@@ -343,8 +342,9 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
       return fail(os.str());
     }
     double connection = 0.0;
-    if (auto error = check_record(metric, cost, ledger, id, *arrivals[id],
-                                  rec, tolerance, connection))
+    if (auto error = check_request_record(metric, cost, ledger, id,
+                                          *arrivals[id], rec, tolerance,
+                                          connection))
       return fail(*error);
     if (!rec.rejected.empty() && !is_capacitated(stream.capacities()))
       return fail("rejected commodity on an uncapacitated stream");
@@ -468,8 +468,9 @@ void StreamVerifier::on_arrival(RequestId id, const Request& request,
     return;
   }
   double connection = 0.0;
-  if (auto error = check_record(*metric_, *cost_, ledger, id, request, rec,
-                                tolerance_, connection)) {
+  if (auto error = check_request_record(*metric_, *cost_, ledger, id,
+                                        request, rec, tolerance_,
+                                        connection)) {
     fail_check(*error);
     return;
   }

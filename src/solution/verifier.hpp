@@ -53,6 +53,19 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
                                                  const SolutionLedger& ledger,
                                                  double tolerance = 1e-6);
 
+/// The per-record check every stream verifier runs on a served request:
+/// the record matches `expected`, its assignments and rejections
+/// partition the demand set, each assigned facility offers the commodity
+/// and opened no later than request `id`, the connected list is the
+/// sorted distinct served facilities (per-facility charging), and the
+/// recomputed connection cost — returned through `connection` — matches
+/// the record's. Returns the first failure's message. Allocates nothing
+/// while the record passes.
+std::optional<std::string> check_request_record(
+    const MetricSpace& metric, const FacilityCostModel& cost,
+    const SolutionLedger& ledger, RequestId id, const Request& expected,
+    const RequestRecord& rec, double tolerance, double& connection);
+
 /// Offline verification of a dynamic run against its EventStream.
 /// Checks, beyond the static per-record properties (coverage, causality,
 /// facility pricing, connection costs):

@@ -185,6 +185,17 @@ class CommoditySet {
     return false;
   }
 
+  /// |this ∩ o|, without building the intersection.
+  CommodityId intersection_count(const CommoditySet& o) const {
+    check_same_universe(o);
+    const std::uint64_t* w = words();
+    const std::uint64_t* v = o.words();
+    CommodityId c = 0;
+    for (std::size_t i = 0; i < num_words(); ++i)
+      c += static_cast<CommodityId>(__builtin_popcountll(w[i] & v[i]));
+    return c;
+  }
+
   bool operator==(const CommoditySet& o) const noexcept {
     return universe_ == o.universe_ &&
            std::equal(words(), words() + num_words(), o.words());

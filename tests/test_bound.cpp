@@ -33,6 +33,7 @@
 #include "metamorphic_common.hpp"
 #include "offline/opt_estimate.hpp"
 #include "perf/perf_counters.hpp"
+#include "scenario/scenario_registry.hpp"
 #include "scenario/sweep.hpp"
 #include "support/rng.hpp"
 
@@ -811,6 +812,38 @@ TEST(BoundRegistry, RosterAndErrors) {
   const BoundOutcome picked = registry.make("auto", instance);
   EXPECT_TRUE(picked.exact);
   EXPECT_EQ(picked.lower, exact.lower);
+}
+
+// `omflp bound --save-cert` saves the outcome certificate_outcome picks.
+// Under the default method every registered scenario yields a verified
+// certificate whose bound stays at or below the printed one, exact
+// outcomes included (they used to have nothing to save).
+TEST(BoundRegistry, EveryScenarioHasACertificateToSave) {
+  const ScenarioRegistry& scenarios = default_scenario_registry();
+  for (const std::string& name : scenarios.names()) {
+    const Instance instance = scenarios.make(name, 1);
+    const BoundOutcome outcome = default_bound_registry().make("auto",
+                                                               instance);
+    const BoundOutcome saved = certificate_outcome(instance, outcome);
+    ASSERT_TRUE(saved.certificate.has_value()) << name;
+    EXPECT_EQ(verify_certificate(instance, *saved.certificate), std::nullopt)
+        << name;
+    EXPECT_LE(saved.lower,
+              outcome.lower + 1e-9 * std::max(1.0, outcome.lower))
+        << name;
+    if (outcome.certificate)
+      EXPECT_EQ(saved.lower, outcome.lower) << name;
+    std::stringstream file;
+    write_certificate(file, *saved.certificate);
+    EXPECT_EQ(read_certificate(file).objective, saved.certificate->objective)
+        << name;
+  }
+  // A chunked bound holds one certificate per chunk: nothing to save.
+  const Instance instance = scenarios.make("uniform-line", 1);
+  EXPECT_THROW((void)certificate_outcome(
+                   instance, default_bound_registry().make("chunked",
+                                                           instance)),
+               std::invalid_argument);
 }
 
 TEST(BoundRegistry, UnsupportedCostStructureThrows) {

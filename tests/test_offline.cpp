@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
 #include "offline/assignment.hpp"
+#include "offline/candidate_pool.hpp"
 #include "offline/exact_small.hpp"
 #include "offline/greedy_star.hpp"
 #include "offline/local_search.hpp"
@@ -592,6 +596,296 @@ TEST(GreedyStarGolden, StreamRatioSurvivorSetsMatchTheEagerScan) {
             .surviving_instance();
     expect_greedy_golden(survivors, g);
     expect_opt_golden(estimate_opt(survivors), g);
+  }
+}
+
+// The default `omflp stream --scenario hotspot-grid` run's 1,980 survivors
+// (seed 1, default parameters), as the eager scan produced them; the
+// stream command prints the same estimate as `opt(surv)`.
+constexpr GreedyGolden kDefaultStreamGolden = {
+    "hotspot-grid", 1, "410.81675151487332",
+     "132:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "133:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "140:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "141:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "120:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "143:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "134:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "121:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "108:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "109:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "122:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "142:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "110:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "131:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "119:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "139:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "97:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "135:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "96:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "107:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "98:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "123:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "138:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "111:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "130:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "128:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "127:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "99:{0,1,2,3,4,6,7,8,9,10,11}/12 116:{0,1,2,3,4,5,6,7,9,10,11}/12 "
+     "129:{0,1,2,3,4,5,6,8,9,10,11}/12 "
+     "124:{0,1,3,4,5,6,7,8,9,10,11}/12 "
+     "118:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "136:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "117:{0,1,2,3,4,5,6,7,8,9,10,11}/12 137:{0,1,2,3,4,5,6,7,9,10}/12 "
+     "112:{0,1,2,3,4,5,6,7,8,9,10,11}/12 106:{0,1,2,3,5,7,8,11}/12 "
+     "84:{0,1,2,3,4,5,7,9,10,11}/12 113:{0,1,2,3,4,5,6,8,9,10}/12 "
+     "125:{0,1,2,3,4,5,6,7,8,10,11}/12 100:{0,1,2,5,7,8,9}/12 "
+     "126:{0,1,2,3,4,5,6,7,9,11}/12 85:{0,1,2,4,5,6,7,8,9,11}/12 "
+     "87:{0,1,2,3,4,5,6,7,8,9,10,11}/12 86:{0,1,2,3,5,6,7,8,9,11}/12 "
+     "115:{0,1,2,3,4,5,6,7,8,9,10,11}/12 72:{0,1,2,3,5,6,7,9,10,11}/12 "
+     "95:{0,1,2,3,4,6,7,11}/12 103:{0,1,2,3,6,9}/12 "
+     "83:{0,1,2,4,6,7,9,10}/12 105:{0,1,2,3,4,5,6,7,8,9,10,11}/12 "
+     "102:{0,1,2,4,6,7,10}/12 75:{0,1,2,3,4,8,10,11}/12 "
+     "114:{0,1,2,3,4,7}/12 94:{0,1,2,5,11}/12 104:{0,1,2,5,7,11}/12 "
+     "74:{0,2,3,4,5,10}/12 88:{0,1,2,8}/12 60:{0,1,11}/12 65:{1}/12 "
+     "73:{0,2,4,7,10}/12 101:{0,1,2,3,8,11}/12 77:{0,5,11}/12 "
+     "89:{2,6,10}/12 93:{0,5,7}/12 62:{0,7}/12 63:{1,10}/12 "
+     "76:{0,1}/12 92:{0,1}/12",
+    "local-search", "408.98994672509446"};
+
+TEST(GreedyStarGolden, DefaultStreamSurvivorsMatchTheEagerScan) {
+  const Instance survivors = default_stream_scenario_registry()
+                                 .make("hotspot-grid", 1)
+                                 .surviving_instance();
+  ASSERT_EQ(survivors.num_requests(), 1980u);
+  expect_greedy_golden(survivors, kDefaultStreamGolden);
+  expect_opt_golden(estimate_opt(survivors), kDefaultStreamGolden);
+}
+
+// ------------------------------------------- star walk and move deltas --
+
+/// Integer positions on a line times `unit`, so distances repeat and
+/// near-tie (0.1 + 0.2 != 0.3); points at or above `split` form a second
+/// component at +inf distance.
+class ScaledLineMetric final : public MetricSpace {
+ public:
+  ScaledLineMetric(std::vector<int> positions, std::size_t split, double unit)
+      : positions_(std::move(positions)), split_(split), unit_(unit) {}
+  std::size_t num_points() const noexcept override {
+    return positions_.size();
+  }
+  double distance(PointId a, PointId b) const override {
+    if ((a < split_) != (b < split_)) return kInfiniteDistance;
+    return std::abs(positions_[a] - positions_[b]) * unit_;
+  }
+  std::string description() const override { return "scaled-line"; }
+
+ private:
+  std::vector<int> positions_;
+  std::size_t split_;
+  double unit_;
+};
+
+/// f^σ_m = base + step·|σ| everywhere.
+class AffineCostModel final : public FacilityCostModel {
+ public:
+  AffineCostModel(CommodityId s, double base, double step)
+      : s_(s), base_(base), step_(step) {}
+  CommodityId num_commodities() const noexcept override { return s_; }
+  double open_cost(PointId, const CommoditySet& config) const override {
+    return config.empty() ? 0.0
+                          : base_ + step_ * static_cast<double>(config.count());
+  }
+  std::string description() const override { return "affine"; }
+
+ private:
+  CommodityId s_;
+  double base_;
+  double step_;
+};
+
+struct TieCase {
+  std::size_t n;
+  double unit;
+  double base;
+  double step;
+  bool infinite;
+};
+
+/// `points` points at integer positions in [0, 6), requests at random
+/// points with 1-3 of |S| = 5 commodities.
+Instance tie_instance(const TieCase& c, std::size_t points, Rng& rng) {
+  std::vector<int> positions;
+  for (std::size_t i = 0; i < points; ++i)
+    positions.push_back(static_cast<int>(rng.uniform_index(6)));
+  const auto metric = std::make_shared<ScaledLineMetric>(
+      std::move(positions), c.infinite ? points / 2 : points, c.unit);
+  const CommodityId s = 5;
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < c.n; ++i)
+    requests.push_back(Request{
+        static_cast<PointId>(rng.uniform_index(points)),
+        sample_demand_set(s, static_cast<CommodityId>(1 + rng.uniform_index(3)),
+                          0.0, rng)});
+  return Instance(metric, std::make_shared<AffineCostModel>(s, c.base, c.step),
+                  std::move(requests), "ties");
+}
+
+/// The eager star evaluation: every gain sorted by (unit cost, request),
+/// every prefix scanned.
+struct EagerStar {
+  double ratio = std::numeric_limits<double>::infinity();
+  std::size_t prefix = 0;
+  std::vector<std::uint32_t> order;
+};
+
+EagerStar eager_star(const CandidatePool& pool, const StarWalk& walk,
+                     std::size_t k, std::size_t j) {
+  struct Gain {
+    double unit_cost;
+    double distance;
+    std::size_t covered;
+    std::uint32_t request;
+  };
+  std::vector<Gain> gains;
+  const CommoditySet& config = pool.configs()[j];
+  for (std::uint32_t i = 0; i < pool.instance().num_requests(); ++i) {
+    const std::size_t covered = (walk.uncovered(i) & config).count();
+    if (covered == 0) continue;
+    const double d = pool.row(k)[i];
+    gains.push_back(Gain{d / static_cast<double>(covered), d, covered, i});
+  }
+  std::sort(gains.begin(), gains.end(), [](const Gain& a, const Gain& b) {
+    if (a.unit_cost != b.unit_cost) return a.unit_cost < b.unit_cost;
+    return a.request < b.request;
+  });
+  EagerStar star;
+  double cost_acc = pool.open_cost(k, j);
+  std::size_t covered_acc = 0;
+  for (std::size_t p = 0; p < gains.size(); ++p) {
+    star.order.push_back(gains[p].request);
+    cost_acc += gains[p].distance;
+    covered_acc += gains[p].covered;
+    const double ratio = cost_acc / static_cast<double>(covered_acc);
+    if (ratio < star.ratio) {
+      star.ratio = ratio;
+      star.prefix = p + 1;
+    }
+  }
+  return star;
+}
+
+TEST(StarWalk, MatchesTheEagerSortAcrossSizesTiesAndInfiniteDistances) {
+  const std::vector<TieCase> cases = {
+      {1, 0.1, 0.3, 0.1, false},   {2, 0.1, 0.0, 0.0, false},
+      {3, 1.0 / 3.0, 0.1, 0.2, true}, {8, 0.1, 0.3, 0.1, true},
+      {40, 0.1, 0.0, 0.1, false},  {200, 0.1, 0.3, 0.1, false},
+      {200, 1.0 / 3.0, 0.7, 0.1, true}, {1000, 0.1, 0.0, 0.0, true},
+      {1000, 0.1, 2.0, 0.5, false}, {5000, 0.1, 0.3, 0.1, false},
+      {5000, 1.0 / 3.0, 25.0, 1.0, true}};
+  Rng rng(2024);
+  std::size_t compared = 0, stopped_early = 0, finite = 0;
+  for (const TieCase& c : cases) {
+    const Instance instance = tie_instance(c, 12, rng);
+    const CandidatePool pool(instance);
+    StarWalk walk(pool);
+    const std::size_t configs = pool.configs().size();
+    const std::size_t candidates = pool.points().size() * configs;
+    // Evaluate a sample each round, then cover one star's prefix, so
+    // later rounds see partly covered demand.
+    for (std::size_t round = 0; round < 6 && walk.open_pairs() > 0; ++round) {
+      std::size_t cover = candidates;
+      for (std::size_t t = 0; t < std::min<std::size_t>(candidates, 60); ++t) {
+        const std::size_t cand =
+            candidates <= 60 ? t : rng.uniform_index(candidates);
+        const std::size_t k = cand / configs, j = cand % configs;
+        const EagerStar eager = eager_star(pool, walk, k, j);
+        const StarWalk::Star star = walk.evaluate(k, j);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(star.ratio),
+                  std::bit_cast<std::uint64_t>(eager.ratio))
+            << "n=" << c.n << " candidate " << cand;
+        ASSERT_EQ(star.prefix, eager.prefix) << "n=" << c.n;
+        ASSERT_EQ(star.covers, !eager.order.empty()) << "n=" << c.n;
+        ASSERT_GE(walk.walked().size(), star.prefix);
+        ASSERT_LE(walk.walked().size(), eager.order.size());
+        for (std::size_t p = 0; p < walk.walked().size(); ++p)
+          ASSERT_EQ(walk.walked()[p].request, eager.order[p]) << "n=" << c.n;
+        ++compared;
+        if (walk.walked().size() < eager.order.size()) ++stopped_early;
+        if (std::isfinite(star.ratio)) ++finite;
+        if (star.prefix > 0) cover = cand;
+      }
+      if (cover == candidates) break;
+      walk.evaluate(cover / configs, cover % configs);
+      const std::size_t before = walk.open_pairs();
+      walk.cover(cover % configs,
+                 eager_star(pool, walk, cover / configs, cover % configs)
+                     .prefix);
+      EXPECT_LT(walk.open_pairs(), before);
+    }
+  }
+  EXPECT_GT(compared, 500u);
+  EXPECT_GT(stopped_early, compared / 4) << "premise: walks stop early";
+  EXPECT_GT(finite, compared / 2);
+}
+
+TEST(LocalSearchState, DeltasMatchCostsRecomputedFromScratch) {
+  Rng rng(77);
+  for (const TieCase& c :
+       {TieCase{30, 0.1, 0.3, 0.1, false},
+        TieCase{60, 1.0 / 3.0, 0.7, 0.2, true},
+        TieCase{150, 0.1, 0.0, 0.1, true}}) {
+    const Instance instance = tie_instance(c, 10, rng);
+    const CandidatePool pool(instance);
+    const std::size_t configs = pool.configs().size();
+    const CommoditySet full = CommoditySet::full_set(5);
+    const auto opening = [&](const std::vector<PlacedFacility>& facilities) {
+      double total = 0.0;
+      for (const PlacedFacility& f : facilities)
+        total += instance.cost().open_cost(f.point, f.config);
+      return total;
+    };
+    for (int trial = 0; trial < 8; ++trial) {
+      // A full-S facility in each component keeps the set feasible; the
+      // rest are random pool candidates, several per point.
+      std::vector<PlacedFacility> facilities = {
+          {pool.points().front(), full}, {pool.points().back(), full}};
+      for (int extra = 0; extra < 1 + trial; ++extra)
+        facilities.push_back(
+            {pool.points()[rng.uniform_index(pool.points().size())],
+             pool.configs()[rng.uniform_index(configs)]});
+      LocalSearchState state(pool);
+      state.set_facilities(facilities);
+      const double connection =
+          total_assignment_cost(instance, std::span(facilities));
+      ASSERT_EQ(state.connection_cost(), connection);
+      ASSERT_EQ(state.opening_cost(), opening(facilities));
+      const double total = state.total_cost();
+      const double tolerance = 1e-9 * (1.0 + total);
+
+      for (int t = 0; t < 40; ++t) {
+        const std::size_t k = rng.uniform_index(pool.points().size());
+        const std::size_t j = rng.uniform_index(configs);
+        std::vector<PlacedFacility> added = facilities;
+        added.push_back({pool.points()[k], pool.configs()[j]});
+        const double expect =
+            opening(added) +
+            total_assignment_cost(instance, std::span(added)) - total;
+        EXPECT_NEAR(state.add_delta(k, j), expect, tolerance);
+      }
+      for (std::size_t fi = 0; fi < facilities.size(); ++fi) {
+        std::vector<PlacedFacility> dropped = facilities;
+        dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(fi));
+        const double rest = total_assignment_cost(instance, std::span(dropped));
+        if (!std::isfinite(rest)) {
+          EXPECT_EQ(state.drop_delta(fi), kInfiniteDistance) << fi;
+          continue;
+        }
+        EXPECT_NEAR(state.drop_delta(fi), opening(dropped) + rest - total,
+                    tolerance)
+            << fi;
+      }
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "metric/line_metric.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
+#include "solution/verifier.hpp"
 #include "support/rng.hpp"
 
 // ---- counting global allocator ------------------------------------------
@@ -419,6 +420,54 @@ TEST(PdServeAllocations, SteadyStateServeAllocatesNothing) {
     EXPECT_EQ(allocating, 0u)
         << pd.name() << ": serve() calls that allocated, of " << checked;
   }
+}
+
+// ------------------------------- allocation-free per-record verification ---
+
+// The stream verifier checks every served arrival with
+// check_request_record; a record that passes costs no allocation (the
+// failure messages are built only on failure).
+TEST(RecordCheckAllocations, PassingRecordsAllocateNothing) {
+  const CommodityId s = 6;
+  Rng rng(11);
+  std::vector<double> positions;
+  for (std::size_t i = 0; i < 16; ++i)
+    positions.push_back(rng.uniform(0.0, 40.0));
+  const auto metric = std::make_shared<LineMetric>(std::move(positions));
+  const auto cost = std::make_shared<PolynomialCostModel>(s, 1.0, 3.0);
+  PdOmflp pd;
+  pd.reset(ProblemContext{metric, cost});
+  SolutionLedger ledger(metric, cost);
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 200; ++i) {
+    Request r;
+    r.location = static_cast<PointId>(rng.uniform_index(16));
+    r.commodities = sample_demand_set(
+        s, static_cast<CommodityId>(1 + rng.uniform_index(s)), 0.0, rng);
+    ledger.begin_request(r);
+    pd.serve(r, ledger);
+    ledger.finish_request();
+    requests.push_back(std::move(r));
+  }
+  std::size_t multi_facility = 0;
+  for (RequestId id = 0; id < requests.size(); ++id) {
+    const RequestRecord& rec = ledger.request_record(id);
+    if (rec.connected.size() > 1) ++multi_facility;
+    double connection = -1.0;
+    std::size_t allocations = 0;
+    bool passed = false;
+    {
+      AllocationCount count;
+      passed = !check_request_record(*metric, *cost, ledger, id, requests[id],
+                                     rec, 1e-6, connection)
+                    .has_value();
+      allocations = count.count();
+    }
+    EXPECT_TRUE(passed) << "request " << id;
+    EXPECT_EQ(allocations, 0u) << "request " << id;
+    EXPECT_NEAR(connection, rec.connection_cost, 1e-9) << "request " << id;
+  }
+  EXPECT_GT(multi_facility, 0u) << "premise: some request uses two facilities";
 }
 
 // ------------------------------------------- TraceEvent without detail ---

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cost/cost_models.hpp"
 #include "instance/instance.hpp"
@@ -193,6 +195,134 @@ TEST(Verifier, RejectsInFlightRequest) {
   SolutionLedger ledger(fx.metric, fx.cost);
   ledger.begin_request(inst.request(0));
   EXPECT_TRUE(verify_solution(inst, ledger).has_value());
+}
+
+// ------------------------------------------- per-record check messages ---
+
+// check_request_record's every failure message, byte for byte, on hand-
+// edited copies of valid records. The ledger: request 0 at point 0 takes
+// {0,1} from f0 = {0,1}@1; request 1 at point 3 takes 0 from f0 and 2
+// from f1 = {2}@3, which opened while serving it.
+class RecordCheck : public ::testing::Test {
+ protected:
+  RecordCheck() : ledger(fx.metric, fx.cost) {
+    ledger.begin_request(first);
+    const FacilityId f0 = ledger.open_facility(1, CommoditySet(4, {0, 1}));
+    ledger.assign(0, f0);
+    ledger.assign(1, f0);
+    ledger.finish_request();
+    ledger.begin_request(second);
+    const FacilityId f1 = ledger.open_facility(3, CommoditySet(4, {2}));
+    ledger.assign(0, f0);
+    ledger.assign(2, f1);
+    ledger.finish_request();
+  }
+
+  /// The check's message for `rec` as request `id` expecting `expected`,
+  /// or "ok" (then `connection` holds the recomputed cost).
+  std::string check(RequestId id, const Request& expected,
+                    const RequestRecord& rec) {
+    const auto error = check_request_record(*fx.metric, *fx.cost, ledger, id,
+                                            expected, rec, 1e-6, connection);
+    return error ? *error : "ok";
+  }
+
+  Fixture fx;
+  const Request first{0, CommoditySet(4, {0, 1})};
+  const Request second{3, CommoditySet(4, {0, 2})};
+  SolutionLedger ledger;
+  double connection = 0.0;
+};
+
+TEST_F(RecordCheck, ValidRecordsPassWithTheirConnectionCost) {
+  EXPECT_EQ(check(0, first, ledger.request_record(0)), "ok");
+  EXPECT_DOUBLE_EQ(connection, 10.0);
+  EXPECT_EQ(check(1, second, ledger.request_record(1)), "ok");
+  EXPECT_DOUBLE_EQ(connection, 20.0);
+}
+
+TEST_F(RecordCheck, RequestDiffersFromTheInput) {
+  EXPECT_EQ(check(0, Request{1, CommoditySet(4, {0, 1})},
+                  ledger.request_record(0)),
+            "request 0 in ledger differs from the input");
+}
+
+TEST_F(RecordCheck, AssignmentToUnknownFacility) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.served[0].facility = 7;
+  EXPECT_EQ(check(0, first, rec), "assignment to unknown facility");
+}
+
+TEST_F(RecordCheck, FacilityDoesNotOfferTheCommodity) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.served[0].facility = 1;  // f1 offers {2} only
+  EXPECT_EQ(check(0, first, rec),
+            "assigned facility does not offer the commodity");
+}
+
+TEST_F(RecordCheck, CausalityViolation) {
+  // Request 1's record checked as request 0: f1 opened after it.
+  EXPECT_EQ(check(0, second, ledger.request_record(1)),
+            "causality violation: facility opened after the request it "
+            "serves");
+}
+
+TEST_F(RecordCheck, CommodityCoveredTwice) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.served.push_back(rec.served[0]);
+  EXPECT_EQ(check(0, first, rec), "commodity covered twice in one request");
+}
+
+TEST_F(RecordCheck, RejectedCommodityNotDemanded) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.rejected = {3};
+  EXPECT_EQ(check(0, first, rec),
+            "rejected commodity the request does not demand");
+}
+
+TEST_F(RecordCheck, CommodityBothServedAndRejected) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.rejected = {0};
+  EXPECT_EQ(check(0, first, rec), "commodity both served and rejected");
+}
+
+TEST_F(RecordCheck, RejectedListNotSorted) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.served.clear();
+  rec.rejected = {1, 0};
+  EXPECT_EQ(check(0, first, rec), "rejected list not sorted and distinct");
+}
+
+TEST_F(RecordCheck, NotExactlyCovered) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.served.pop_back();
+  EXPECT_EQ(check(0, first, rec),
+            "request 0 not exactly covered: got {0}/4, demanded {0,1}/4");
+}
+
+TEST_F(RecordCheck, ConnectedListInconsistent) {
+  const std::string message =
+      "connected-facility list inconsistent with assignments";
+  const RequestRecord valid = ledger.request_record(1);
+  ASSERT_EQ(valid.connected, (std::vector<FacilityId>{0, 1}));
+  for (const std::vector<FacilityId>& connected :
+       std::vector<std::vector<FacilityId>>{
+           {}, {0}, {1}, {1, 0}, {0, 0, 1}, {0, 1, 1}, {0, 1, 2}}) {
+    RequestRecord rec = valid;
+    rec.connected = connected;
+    EXPECT_EQ(check(1, second, rec), message) << connected.size();
+  }
+  // Request 0 serves both commodities from f0: one entry, not two.
+  RequestRecord rec = ledger.request_record(0);
+  rec.connected = {0, 0};
+  EXPECT_EQ(check(0, first, rec), message);
+}
+
+TEST_F(RecordCheck, ConnectionCostMismatch) {
+  RequestRecord rec = ledger.request_record(0);
+  rec.connection_cost = 11.0;
+  EXPECT_EQ(check(0, first, rec),
+            "request 0 connection cost 11 != recomputed 10");
 }
 
 // ----------------------------------------------- capacity / admission ---

@@ -1254,13 +1254,17 @@ int cmd_bound(const std::vector<std::string>& args) {
               << "lower      " << outcome.lower << " (certified"
               << (outcome.exact ? ", exact" : "") << ")\n";
     if (!save_cert_path.empty()) {
-      if (!outcome.certificate)
-        throw std::invalid_argument("bound: method '" + method +
-                                    "' produced no certificate to save");
+      // An exact bound certifies itself; the file then holds the dual
+      // ascent's verified certificate, whose (lower) bound is printed.
+      const BoundOutcome saved = certificate_outcome(instance, outcome);
       AtomicFileWriter file(save_cert_path);
-      write_certificate(file.stream(), *outcome.certificate);
+      write_certificate(file.stream(), *saved.certificate);
       file.commit();
-      std::cout << "saved      " << save_cert_path << "\n";
+      std::cout << "saved      " << save_cert_path;
+      if (!outcome.certificate)
+        std::cout << " (" << saved.method << " certificate, lower "
+                  << saved.lower << ")";
+      std::cout << "\n";
     }
     double cost = 0.0;
     bool have_cost = false;
