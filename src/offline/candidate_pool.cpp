@@ -8,6 +8,9 @@ namespace omflp {
 
 namespace {
 
+/// The point pool is every point of spaces with at most this many points.
+constexpr std::size_t kAllPointsLimit = 96;
+
 /// By size, then by the sorted member lists compared lexicographically.
 /// Two distinct sets of one size first differ at the smallest element of
 /// their symmetric difference, so the set holding it sorts first.
@@ -20,13 +23,12 @@ bool config_less(const CommoditySet& a, const CommoditySet& b) {
 
 }  // namespace
 
-CandidatePool::CandidatePool(const Instance& instance,
-                             const CandidatePoolOptions& options)
+CandidatePool::CandidatePool(const Instance& instance)
     : instance_(&instance) {
   OMFLP_REQUIRE(instance.num_requests() > 0, "CandidatePool: empty instance");
   const std::size_t n = instance.num_requests();
   const std::size_t m = instance.metric().num_points();
-  if (m <= options.all_points_limit) {
+  if (m <= kAllPointsLimit) {
     points_.resize(m);
     for (PointId p = 0; p < m; ++p) points_[p] = p;
   } else {
@@ -48,14 +50,9 @@ CandidatePool::CandidatePool(const Instance& instance,
   configs_.erase(std::unique(configs_.begin(), configs_.end()),
                  configs_.end());
 
-  member_begin_.reserve(n + 1);
-  member_begin_.push_back(0);
-  for (const Request& r : instance.requests()) {
+  for (const Request& r : instance.requests())
     OMFLP_REQUIRE(r.commodities.count() <= 20,
                   "CandidatePool: demand set too large (more than 20)");
-    r.commodities.for_each([&](CommodityId e) { members_.push_back(e); });
-    member_begin_.push_back(members_.size());
-  }
 
   rows_.reserve(points_.size() * n);
   for (PointId p : points_)
@@ -86,9 +83,11 @@ const double* CandidatePool::row_of(PointId p) const {
 std::uint32_t CandidatePool::local_mask(std::size_t i,
                                         const CommoditySet& config) const {
   std::uint32_t mask = 0;
-  for (std::size_t b = 0; b < demand_size(i); ++b)
-    if (config.contains(members_[member_begin_[i] + b]))
-      mask |= std::uint32_t{1} << b;
+  std::uint32_t bit = 1;
+  instance_->requests()[i].commodities.for_each([&](CommodityId e) {
+    if (config.contains(e)) mask |= bit;
+    bit <<= 1;
+  });
   return mask;
 }
 

@@ -3,8 +3,10 @@
 // Both solvers price facilities (m, σ) from the same pool: σ ranges over
 // the configurations an optimum plausibly uses — singletons of the
 // demanded union, the distinct request demand sets, the demanded union
-// itself and the full S — and m over all points of small spaces or the
-// distinct request locations of large ones. The pool derives them once
+// itself and the full S — and m over all points of spaces with at most
+// 96 points, or the distinct request locations of larger ones (where
+// every point would make the pool, not the search, the cost). The pool
+// derives them once
 // and keeps what both solvers read in their inner loops:
 //   * one row of d(location of request i, m) per point, read from the
 //     metric in that argument order, so every distance is bitwise the
@@ -25,12 +27,6 @@
 
 namespace omflp {
 
-struct CandidatePoolOptions {
-  /// The point pool is every point of spaces with at most this many
-  /// points, and the distinct request locations of larger ones.
-  std::size_t all_points_limit = 96;
-};
-
 class CandidatePool {
  public:
   /// A request that a configuration covers, with the configuration's
@@ -44,8 +40,7 @@ class CandidatePool {
   /// commodities (the assignment DP's limit). The pool refers to
   /// `instance`, which must outlive it, as the pool must outlive any
   /// StarWalk or LocalSearchState built on it.
-  explicit CandidatePool(const Instance& instance,
-                         const CandidatePoolOptions& options = {});
+  explicit CandidatePool(const Instance& instance);
 
   const Instance& instance() const noexcept { return *instance_; }
   /// Ascending.
@@ -73,7 +68,7 @@ class CandidatePool {
   std::uint32_t local_mask(std::size_t i, const CommoditySet& config) const;
   /// |s_r| of request i.
   std::size_t demand_size(std::size_t i) const noexcept {
-    return member_begin_[i + 1] - member_begin_[i];
+    return instance_->requests()[i].commodities.count();
   }
 
  private:
@@ -84,10 +79,6 @@ class CandidatePool {
   std::vector<double> open_costs_;
   std::vector<std::size_t> cover_begin_;
   std::vector<Cover> covers_;
-  /// Request i's demand members, ascending, at
-  /// members_[member_begin_[i] .. member_begin_[i + 1]).
-  std::vector<std::size_t> member_begin_;
-  std::vector<CommodityId> members_;
 };
 
 }  // namespace omflp

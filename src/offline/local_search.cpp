@@ -10,10 +10,10 @@
 namespace omflp {
 
 LocalSearchState::LocalSearchState(const CandidatePool& pool)
-    : pool_(pool), instance_(pool.instance()) {
-  table_begin_.reserve(instance_.num_requests() + 1);
+    : pool_(pool) {
+  table_begin_.reserve(pool.instance().num_requests() + 1);
   table_begin_.push_back(0);
-  for (std::size_t i = 0; i < instance_.num_requests(); ++i)
+  for (std::size_t i = 0; i < pool.instance().num_requests(); ++i)
     table_begin_.push_back(table_begin_.back() +
                            (std::size_t{1} << pool.demand_size(i)));
   tables_.resize(table_begin_.back());
@@ -41,7 +41,7 @@ double LocalSearchState::add_delta(std::size_t k, std::size_t j) const {
 
 double LocalSearchState::drop_delta(std::size_t fi) {
   double connect = 0.0;
-  for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+  for (std::size_t i = 0; i < pool_.instance().num_requests(); ++i) {
     const std::span<const double> table = table_of(i);
     double c = table.back();
     const std::size_t first = usable_begin_[i];
@@ -61,9 +61,9 @@ double LocalSearchState::drop_delta(std::size_t fi) {
     connect += c;
   }
   if (!std::isfinite(connect)) return kInfiniteDistance;
+  const PlacedFacility& f = facilities_[fi];
   const double opening =
-      opening_ - instance_.cost().open_cost(facilities_[fi].point,
-                                            facilities_[fi].config);
+      opening_ - pool_.instance().cost().open_cost(f.point, f.config);
   return opening + connect - total_cost();
 }
 
@@ -77,14 +77,14 @@ void LocalSearchState::rebuild() {
   std::vector<const double*> rows;
   rows.reserve(facilities_.size());
   for (const PlacedFacility& f : facilities_) {
-    opening_ += instance_.cost().open_cost(f.point, f.config);
+    opening_ += pool_.instance().cost().open_cost(f.point, f.config);
     rows.push_back(pool_.row_of(f.point));
   }
   connection_ = 0.0;
   usable_.clear();
   usable_facility_.clear();
   usable_begin_.assign(1, 0);
-  for (std::size_t i = 0; i < instance_.num_requests(); ++i) {
+  for (std::size_t i = 0; i < pool_.instance().num_requests(); ++i) {
     const std::size_t first = usable_.size();
     for (std::size_t g = 0; g < facilities_.size(); ++g) {
       if (const std::uint32_t mask =

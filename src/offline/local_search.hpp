@@ -66,7 +66,6 @@ class LocalSearchState {
   void rebuild();
 
   const CandidatePool& pool_;
-  const Instance& instance_;
   std::vector<PlacedFacility> facilities_;
   /// Request i's DP table at tables_[table_begin_[i] .. table_begin_[i+1]).
   std::vector<std::size_t> table_begin_;

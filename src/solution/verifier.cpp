@@ -148,20 +148,9 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
   // and per request record re-derived below.
   double opening = 0.0;
   for (const OpenFacilityRecord& f : ledger.facilities()) {
-    OMFLP_PERF_COUNT(verifier_checks);
-    if (f.location >= metric.num_points())
-      return fail("facility outside the metric space");
-    if (f.config.universe_size() != cost.num_commodities())
-      return fail("facility config universe mismatch");
-    if (f.config.empty()) return fail("facility with empty configuration");
-    const double expect = cost.open_cost(f.location, f.config);
-    if (std::abs(expect - f.open_cost) > tolerance) {
-      std::ostringstream os;
-      os << "facility " << f.id << " open cost " << f.open_cost
-         << " != model cost " << expect;
-      return fail(os.str());
-    }
-    opening += expect;
+    if (auto error = check_facility(metric, cost, f, tolerance))
+      return fail(*error);
+    opening += cost.open_cost(f.location, f.config);
   }
   if (std::abs(opening - ledger.opening_cost()) > tolerance * (1.0 + opening))
     return fail("total opening cost mismatch");
@@ -169,69 +158,14 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
   // Requests: coverage, causality, connection cost.
   double connection = 0.0;
   for (RequestId i = 0; i < instance.num_requests(); ++i) {
-    OMFLP_PERF_COUNT(verifier_checks);
-    const Request& expected = instance.request(i);
     const RequestRecord& rec = ledger.request_records()[i];
-    if (!(rec.request.location == expected.location &&
-          rec.request.commodities == expected.commodities)) {
-      std::ostringstream os;
-      os << "request " << i << " in ledger differs from the instance";
-      return fail(os.str());
-    }
-
-    CommoditySet covered(cost.num_commodities());
-    for (const ServedCommodity& sc : rec.served) {
-      if (sc.facility >= ledger.num_facilities())
-        return fail("assignment to unknown facility");
-      const OpenFacilityRecord& f = ledger.facility(sc.facility);
-      if (!f.config.contains(sc.commodity))
-        return fail("assigned facility does not offer the commodity");
-      if (f.opened_during > i)
-        return fail("causality violation: facility opened after the request "
-                    "it serves");
-      if (covered.contains(sc.commodity))
-        return fail("commodity covered twice in one request");
-      covered.add(sc.commodity);
-    }
-    for (std::size_t k = 0; k < rec.rejected.size(); ++k) {
-      const CommodityId e = rec.rejected[k];
-      if (!is_capacitated(instance.capacities()))
-        return fail("rejected commodity on an uncapacitated instance");
-      if (!expected.commodities.contains(e))
-        return fail("rejected commodity the request does not demand");
-      if (covered.contains(e))
-        return fail("commodity both served and rejected");
-      if (k > 0 && rec.rejected[k - 1] >= e)
-        return fail("rejected list not sorted and distinct");
-      covered.add(e);
-    }
-    if (!(covered == expected.commodities)) {
-      std::ostringstream os;
-      os << "request " << i << " not exactly covered: got "
-         << covered.to_string() << ", demanded "
-         << expected.commodities.to_string();
-      return fail(os.str());
-    }
-
     double expect_conn = 0.0;
-    if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
-      if (!connected_matches_served(rec))
-        return fail("connected-facility list inconsistent with assignments");
-      for (const FacilityId f : rec.connected)
-        expect_conn += metric.distance(expected.location,
-                                       ledger.facility(f).location);
-    } else {
-      for (const ServedCommodity& sc : rec.served)
-        expect_conn += metric.distance(expected.location,
-                                       ledger.facility(sc.facility).location);
-    }
-    if (std::abs(expect_conn - rec.connection_cost) >
-        tolerance * (1.0 + expect_conn)) {
-      std::ostringstream os;
-      os << "request " << i << " connection cost " << rec.connection_cost
-         << " != recomputed " << expect_conn;
-      return fail(os.str());
-    }
+    if (auto error = check_request_record(metric, cost, ledger, i,
+                                          instance.request(i), rec, tolerance,
+                                          expect_conn))
+      return fail(*error);
+    if (!rec.rejected.empty() && !is_capacitated(instance.capacities()))
+      return fail("rejected commodity on an uncapacitated instance");
     connection += expect_conn;
   }
   if (std::abs(connection - ledger.connection_cost()) >

@@ -53,7 +53,7 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
                                                  const SolutionLedger& ledger,
                                                  double tolerance = 1e-6);
 
-/// The per-record check every stream verifier runs on a served request:
+/// The per-record check every verifier runs on a served request:
 /// the record matches `expected`, its assignments and rejections
 /// partition the demand set, each assigned facility offers the commodity
 /// and opened no later than request `id`, the connected list is the
