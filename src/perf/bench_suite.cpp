@@ -13,11 +13,15 @@
 #include "core/online_algorithm.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/stream_runner.hpp"
+#include "cost/cost_models.hpp"
 #include "engine/sharded_engine.hpp"
+#include "instance/generators.hpp"
 #include "kernel/kernels.hpp"
 #include "metric/distance_oracle.hpp"
 #include "metric/line_metric.hpp"
 #include "obs/trace_sink.hpp"
+#include "offline/local_search.hpp"
+#include "offline/single_point.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
@@ -241,6 +245,22 @@ BenchCase algorithm_case(std::string name,
   return c;
 }
 
+/// n uniform-line requests over `points` points, |S| = `commodities`,
+/// demands of up to five commodities, class-C cost x = 1 at scale 2.
+std::shared_ptr<const Instance> scaling_instance(std::size_t n,
+                                                 std::size_t points,
+                                                 CommodityId commodities) {
+  Rng rng(n * 131 + points * 17 + commodities);
+  UniformLineConfig config;
+  config.num_points = points;
+  config.num_requests = n;
+  config.num_commodities = commodities;
+  config.max_demand = std::min<CommodityId>(5, commodities);
+  return std::make_shared<const Instance>(make_uniform_line(
+      config,
+      std::make_shared<PolynomialCostModel>(commodities, 1.0, 2.0), rng));
+}
+
 }  // namespace
 
 BenchSuite default_bench_suite() {
@@ -265,6 +285,36 @@ BenchSuite default_bench_suite() {
       std::make_shared<PdOmflp>(
           PdOptions{.bid_mode = PdOptions::BidMode::kReference}),
       instance));
+
+  // Scaling in |S|: PD and RAND over n = 256 requests on 32 points as
+  // the commodity count grows (Theorem 4's sqrt(|S|) factor, measured as
+  // work), then the offline reference's own cost: local search at
+  // n = 32 / 64 and the single-point cover DP over |S| = 64 / 1024.
+  for (const CommodityId s : {8u, 32u, 128u}) {
+    const auto scaled = scaling_instance(256, 32, s);
+    for (const std::string name : {"pd", "rand"})
+      suite.add(algorithm_case(
+          "scaling/" + name + "/S=" + std::to_string(s),
+          registry.make(name, derive_algorithm_seed(1)), scaled));
+  }
+  for (const std::size_t n : {32u, 64u}) {
+    const auto small = scaling_instance(n, 16, 8);
+    suite.add(BenchCase{"offline/local-search/n=" + std::to_string(n), n,
+                        [small] {
+                          volatile double sink =
+                              solve_local_search(*small).cost;
+                          (void)sink;
+                        }});
+  }
+  for (const CommodityId s : {64u, 1024u}) {
+    const auto cost = std::make_shared<PolynomialCostModel>(s, 1.0);
+    suite.add(BenchCase{"offline/single-point/S=" + std::to_string(s), 1,
+                        [cost, target = CommoditySet::full_set(s)] {
+                          volatile double sink =
+                              single_point_cover_cost(*cost, 0, target);
+                          (void)sink;
+                        }});
+  }
 
   // DistanceOracle micro cases: all-pairs lookups through the cached
   // matrix vs the virtual-call fallback (cache_limit = 0).

@@ -128,6 +128,8 @@ class BenchSuite {
 
 /// The standard suite backing `omflp bench`: every registered algorithm
 /// replaying the uniform-line workload, the PD reference-bid ablation,
+/// PD and RAND scaling in |S| (8 / 32 / 128), the offline local search
+/// (n = 32 / 64) and single-point cover DP (|S| = 64 / 1024),
 /// DistanceOracle cached/fallback micro cases, the dynamic-stream
 /// events/s cases (run_stream over churn-uniform workloads, greedy and
 /// PD), the serving-engine pairs (serve/mixed-* = ShardedEngine over the

@@ -1,22 +1,10 @@
-// Small helpers shared by the scenario and algorithm registries.
+// The seed helper shared by every caller that turns a workload seed into
+// an algorithm from the registry (CLI, sweep, engine, benches).
 #pragma once
 
 #include <cstdint>
-#include <sstream>
-#include <string>
-#include <vector>
 
 namespace omflp {
-
-/// "a, b, c" — for unknown-name error messages listing the known names.
-inline std::string join_names(const std::vector<std::string>& names) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) os << ", ";
-    os << names[i];
-  }
-  return os.str();
-}
 
 /// Decorrelate an algorithm's coin stream from the workload seed.
 ///

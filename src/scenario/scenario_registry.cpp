@@ -11,7 +11,6 @@
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
-#include "scenario/registry_util.hpp"
 #include "support/rng.hpp"
 
 namespace omflp {
@@ -50,36 +49,6 @@ CommodityId ScenarioParams::commodity_at(const std::string& name) const {
 }
 
 // ----------------------------------------------------- ScenarioRegistry ---
-
-void ScenarioRegistry::add(ScenarioSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument("ScenarioRegistry: empty scenario name");
-  if (!spec.make)
-    throw std::invalid_argument("ScenarioRegistry: scenario '" + spec.name +
-                                "' has no factory");
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument("ScenarioRegistry: duplicate scenario '" +
-                                spec.name + "'");
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const ScenarioSpec& ScenarioRegistry::spec(const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown scenario '" + name +
-                                "'; known scenarios: " + join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
 
 ScenarioParams resolve_scenario_params(
     const std::string& scenario_name,
@@ -125,25 +94,22 @@ Instance ScenarioRegistry::make_lenient(
 
 // ----------------------------------------------------------- built-ins ---
 
-namespace {
-
-/// Every location-ambivalent scenario prices facilities with the paper's
-/// class C: g_x(k) = scale·k^{x/2}. The two knobs are declared on each
-/// scenario so sweeps can move along the cost-class axis.
-std::vector<ScenarioParam> cost_params(double scale) {
+std::vector<ScenarioParam> class_c_cost_params(double scale) {
   return {{"cost_exponent", 1.0, "class-C exponent x in [0,2]"},
           {"cost_scale", scale, "overall opening-cost scale"}};
 }
 
-CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities) {
+CostModelPtr class_c_cost(const ScenarioParams& p, CommodityId commodities) {
   return std::make_shared<PolynomialCostModel>(
       commodities, p.at("cost_exponent"), p.at("cost_scale"));
 }
 
-void append(std::vector<ScenarioParam>& params,
-            std::vector<ScenarioParam> extra) {
+void append_params(std::vector<ScenarioParam>& params,
+                   std::vector<ScenarioParam> extra) {
   for (ScenarioParam& param : extra) params.push_back(std::move(param));
 }
+
+namespace {
 
 // Figure 3's engineered cost model: singletons near-free at the small
 // sites, bundles near-free only at the large site, everything else
@@ -174,7 +140,7 @@ void register_generators(ScenarioRegistry& registry) {
         {"min_demand", 1, "smallest demand-set size"},
         {"max_demand", 4, "largest demand-set size"},
         {"popularity_exponent", 0.8, "Zipf exponent for commodity choice"}};
-    append(params, cost_params(2.0));
+    append_params(params, class_c_cost_params(2.0));
     registry.add(
         {.name = "uniform-line",
          .description = "requests at uniform line positions, Zipf-popular "
@@ -191,7 +157,7 @@ void register_generators(ScenarioRegistry& registry) {
            cfg.min_demand = p.commodity_at("min_demand");
            cfg.max_demand = p.commodity_at("max_demand");
            cfg.popularity_exponent = p.at("popularity_exponent");
-           return make_uniform_line(cfg, poly_cost(p, cfg.num_commodities),
+           return make_uniform_line(cfg, class_c_cost(p, cfg.num_commodities),
                                     rng);
          }});
   }
@@ -205,7 +171,7 @@ void register_generators(ScenarioRegistry& registry) {
         {"commodities_per_cluster", 4, "home-set size per cluster"},
         {"subset_demands", 1, "1: random subsets of the home set, 0: full"},
         {"interleave", 1, "1: round-robin across clusters"}};
-    append(params, cost_params(2.0));
+    append_params(params, class_c_cost_params(2.0));
     registry.add(
         {.name = "clustered",
          .description = "well-separated clusters with per-cluster home "
@@ -223,7 +189,7 @@ void register_generators(ScenarioRegistry& registry) {
            cfg.commodities_per_cluster = p.commodity_at("commodities_per_cluster");
            cfg.subset_demands = p.bool_at("subset_demands");
            cfg.interleave = p.bool_at("interleave");
-           return make_clustered_line(cfg, poly_cost(p, cfg.num_commodities),
+           return make_clustered_line(cfg, class_c_cost(p, cfg.num_commodities),
                                       rng);
          }});
   }
@@ -234,7 +200,7 @@ void register_generators(ScenarioRegistry& registry) {
         {"decay", 0.5, "distance multiplier per request"},
         {"commodities", 8, "|S|"},
         {"demand_size", 4, "every request demands {0..demand_size-1}"}};
-    append(params, cost_params(1.0));
+    append_params(params, class_c_cost_params(1.0));
     registry.add(
         {.name = "zooming",
          .description = "geometrically approaching requests — the classic "
@@ -250,7 +216,7 @@ void register_generators(ScenarioRegistry& registry) {
                p.commodity_at("commodities");
            cfg.demand_size =
                p.commodity_at("demand_size");
-           return make_zooming_line(cfg, poly_cost(p, cfg.num_commodities),
+           return make_zooming_line(cfg, class_c_cost(p, cfg.num_commodities),
                                     rng);
          }});
   }
@@ -265,7 +231,7 @@ void register_generators(ScenarioRegistry& registry) {
         {"max_demand", 5, "largest demand-set size"},
         {"node_popularity_exponent", 0.7, "Zipf exponent over nodes"},
         {"commodity_popularity_exponent", 0.9, "Zipf exponent over S"}};
-    append(params, cost_params(2.0));
+    append_params(params, class_c_cost_params(2.0));
     registry.add(
         {.name = "service-network",
          .description = "random connected service graph, Zipf-popular nodes "
@@ -285,8 +251,8 @@ void register_generators(ScenarioRegistry& registry) {
            cfg.node_popularity_exponent = p.at("node_popularity_exponent");
            cfg.commodity_popularity_exponent =
                p.at("commodity_popularity_exponent");
-           return make_service_network(cfg, poly_cost(p, cfg.num_commodities),
-                                       rng);
+           return make_service_network(
+               cfg, class_c_cost(p, cfg.num_commodities), rng);
          }});
   }
   {
@@ -295,7 +261,7 @@ void register_generators(ScenarioRegistry& registry) {
         {"commodities", 12, "|S|"},
         {"min_demand", 1, "smallest demand-set size"},
         {"max_demand", 6, "largest demand-set size"}};
-    append(params, cost_params(1.0));
+    append_params(params, class_c_cost_params(1.0));
     registry.add(
         {.name = "single-point-mixed",
          .description = "everything on one point, random demand sets — a "
@@ -310,14 +276,14 @@ void register_generators(ScenarioRegistry& registry) {
            cfg.min_demand = p.commodity_at("min_demand");
            cfg.max_demand = p.commodity_at("max_demand");
            return make_single_point_mixed(
-               cfg, poly_cost(p, cfg.num_commodities), rng);
+               cfg, class_c_cost(p, cfg.num_commodities), rng);
          }});
   }
   {
     std::vector<ScenarioParam> params = {
         {"requests", 32, "number of requests"},
         {"commodities", 16, "|S|; demands overlap in at least |S|/2"}};
-    append(params, cost_params(1.0));
+    append_params(params, class_c_cost_params(1.0));
     registry.add(
         {.name = "shared-demand",
          .description = "single point, large overlapping bundles — the "
@@ -334,7 +300,7 @@ void register_generators(ScenarioRegistry& registry) {
                std::max<CommodityId>(1, cfg.num_commodities / 2);
            cfg.max_demand = cfg.num_commodities;
            return make_single_point_mixed(
-               cfg, poly_cost(p, cfg.num_commodities), rng);
+               cfg, class_c_cost(p, cfg.num_commodities), rng);
          }});
   }
   registry.add(

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "instance/instance.hpp"
+#include "support/named_registry.hpp"
 
 namespace omflp {
 
@@ -81,6 +82,16 @@ ScenarioParams resolve_scenario_params(
     const std::vector<ScenarioParam>& declared,
     const std::map<std::string, double>& overrides, bool strict);
 
+/// The class-C cost knobs (cost_exponent x in [0,2], cost_scale) that
+/// every location-ambivalent scenario declares, so sweeps can move along
+/// the paper's cost-class axis; class_c_cost prices them:
+/// g_x(k) = scale·k^{x/2}. Shared by the instance and stream families.
+std::vector<ScenarioParam> class_c_cost_params(double scale);
+CostModelPtr class_c_cost(const ScenarioParams& p, CommodityId commodities);
+/// Appends `extra` to a parameter declaration.
+void append_params(std::vector<ScenarioParam>& params,
+                   std::vector<ScenarioParam> extra);
+
 struct ScenarioSpec {
   std::string name;
   std::string description;
@@ -88,18 +99,10 @@ struct ScenarioSpec {
   std::function<Instance(const ScenarioParams&, std::uint64_t seed)> make;
 };
 
-class ScenarioRegistry {
+class ScenarioRegistry : public NamedRegistry<ScenarioSpec> {
  public:
-  /// Registers a scenario; throws std::invalid_argument on an empty or
-  /// duplicate name or a missing factory.
-  void add(ScenarioSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const ScenarioSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
+  ScenarioRegistry()
+      : NamedRegistry("ScenarioRegistry", "scenario", "scenarios") {}
 
   /// Instantiate a scenario: merge `overrides` into the declared defaults
   /// (throwing on an override the scenario does not declare) and invoke
@@ -113,9 +116,6 @@ class ScenarioRegistry {
   /// a sweep of heterogeneous scenarios.
   Instance make_lenient(const std::string& name, std::uint64_t seed,
                         const std::map<std::string, double>& overrides) const;
-
- private:
-  std::map<std::string, ScenarioSpec> specs_;
 };
 
 /// The registry with every built-in scenario registered (shared,

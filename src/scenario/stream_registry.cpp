@@ -11,43 +11,9 @@
 #include "instance/generators.hpp"
 #include "metric/euclidean_metric.hpp"
 #include "metric/line_metric.hpp"
-#include "scenario/registry_util.hpp"
 #include "support/rng.hpp"
 
 namespace omflp {
-
-void StreamScenarioRegistry::add(StreamScenarioSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument(
-        "StreamScenarioRegistry: empty scenario name");
-  if (!spec.make)
-    throw std::invalid_argument("StreamScenarioRegistry: scenario '" +
-                                spec.name + "' has no factory");
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument(
-        "StreamScenarioRegistry: duplicate scenario '" + spec.name + "'");
-}
-
-bool StreamScenarioRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const StreamScenarioSpec& StreamScenarioRegistry::spec(
-    const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown stream scenario '" + name +
-                                "'; known stream scenarios: " +
-                                join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> StreamScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
 
 EventStream StreamScenarioRegistry::make(
     const std::string& name, std::uint64_t seed,
@@ -63,21 +29,6 @@ EventStream StreamScenarioRegistry::make(
 // ----------------------------------------------------------- built-ins ---
 
 namespace {
-
-std::vector<ScenarioParam> cost_params(double scale) {
-  return {{"cost_exponent", 1.0, "class-C exponent x in [0,2]"},
-          {"cost_scale", scale, "overall opening-cost scale"}};
-}
-
-CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities) {
-  return std::make_shared<PolynomialCostModel>(
-      commodities, p.at("cost_exponent"), p.at("cost_scale"));
-}
-
-void append(std::vector<ScenarioParam>& params,
-            std::vector<ScenarioParam> extra) {
-  for (ScenarioParam& param : extra) params.push_back(std::move(param));
-}
 
 /// Demand-set draw shared by every family declaring the min_demand /
 /// max_demand / popularity_exponent trio. Built once per stream: the
@@ -197,7 +148,7 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
     active.emplace_back(next_id++, lease > 0 ? lease_deadline(t, lease)
                                              : ~std::uint64_t{0});
   }
-  EventStream stream(std::move(metric), poly_cost(p, commodities),
+  EventStream stream(std::move(metric), class_c_cost(p, commodities),
                      std::move(events), name);
   if (capacity > 0)
     stream.set_capacities(std::make_shared<const std::vector<std::uint64_t>>(
@@ -218,7 +169,7 @@ void register_streams(StreamScenarioRegistry& registry) {
         {"churn", 0.45,
          "per-event probability of deleting a random active request"},
         {"warmup", 32, "active requests before churn kicks in"}};
-    append(params, cost_params(2.0));
+    append_params(params, class_c_cost_params(2.0));
     registry.add(
         {.name = "churn-uniform",
          .description = "uniform-line arrivals under churn-heavy random "
@@ -251,7 +202,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            }
            return EventStream(
                LineMetric::uniform_grid(points, p.at("length")),
-               poly_cost(p, commodities), std::move(events),
+               class_c_cost(p, commodities), std::move(events),
                "churn-uniform");
          }});
   }
@@ -306,7 +257,7 @@ void register_streams(StreamScenarioRegistry& registry) {
         {"max_demand", 3, "largest demand-set size"},
         {"popularity_exponent", 0.8, "Zipf exponent for commodity choice"},
         {"mean_lease", 96, "mean lease length in events (exponential)"}};
-    append(params, cost_params(2.0));
+    append_params(params, class_c_cost_params(2.0));
     registry.add(
         {.name = "lease-poisson",
          .description = "pure lease-expiry traffic: every arrival carries "
@@ -335,7 +286,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            }
            return EventStream(
                LineMetric::uniform_grid(points, p.at("length")),
-               poly_cost(p, commodities), std::move(events),
+               class_c_cost(p, commodities), std::move(events),
                "lease-poisson");
          }});
   }
@@ -358,7 +309,7 @@ void register_streams(StreamScenarioRegistry& registry) {
           {"mean_lease", 0,
            "mean exponential lease in events (0 = pinned arrivals)"},
           {"warmup", 32, "active requests before churn kicks in"}};
-      append(params, cost_params(2.0));
+      append_params(params, class_c_cost_params(2.0));
       return params;
     };
     registry.add(
@@ -410,8 +361,6 @@ const StreamScenarioRegistry& default_stream_scenario_registry() {
 // ---------------------------------------------------------------- mixes ---
 
 void WorkloadMixRegistry::add(WorkloadMixSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument("WorkloadMixRegistry: empty mix name");
   if (spec.profiles.empty())
     throw std::invalid_argument("WorkloadMixRegistry: mix '" + spec.name +
                                 "' has no tenant profiles");
@@ -445,29 +394,7 @@ void WorkloadMixRegistry::add(WorkloadMixSpec spec) {
             profile.scenario + "' does not declare override '" + key +
             "'");
   }
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument("WorkloadMixRegistry: duplicate mix '" +
-                                spec.name + "'");
-}
-
-bool WorkloadMixRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const WorkloadMixSpec& WorkloadMixRegistry::spec(
-    const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown workload mix '" + name +
-                                "'; known mixes: " + join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> WorkloadMixRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
+  NamedRegistry::add(std::move(spec));
 }
 
 std::vector<TenantSpec> WorkloadMixRegistry::tenants(

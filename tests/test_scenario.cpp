@@ -3,16 +3,19 @@
 // and instance trace write -> replay round-trips.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "analysis/competitive.hpp"
+#include "bound/registry.hpp"
 #include "core/online_algorithm.hpp"
 #include "instance/io.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
+#include "scenario/stream_registry.hpp"
 #include "scenario/sweep.hpp"
 
 namespace omflp {
@@ -65,24 +68,63 @@ TEST(ScenarioRegistry, OverridesReachTheFactory) {
   EXPECT_NO_THROW(instance.validate());
 }
 
+/// The std::invalid_argument message `call` throws.
+std::string error_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(no error)";
+}
+
 TEST(ScenarioRegistry, AddRejectsDuplicatesAndMissingFactory) {
   ScenarioRegistry registry;
-  registry.add({.name = "w",
-                .description = "d",
-                .params = {},
-                .make = [](const ScenarioParams&, std::uint64_t) {
-                  return default_scenario_registry().make("figure3", 1);
-                }});
-  EXPECT_THROW(
-      registry.add({.name = "w",
-                    .description = "again",
-                    .params = {},
-                    .make = [](const ScenarioParams&, std::uint64_t) {
-                      return default_scenario_registry().make("figure3", 1);
-                    }}),
-      std::invalid_argument);
-  EXPECT_THROW(registry.add({.name = "x", .description = "no factory"}),
-               std::invalid_argument);
+  const auto make = [](const ScenarioParams&, std::uint64_t) {
+    return default_scenario_registry().make("figure3", 1);
+  };
+  registry.add({.name = "w", .description = "d", .params = {}, .make = make});
+  EXPECT_EQ(error_of([&] {
+              registry.add({.name = "w",
+                            .description = "again",
+                            .params = {},
+                            .make = make});
+            }),
+            "ScenarioRegistry: duplicate scenario 'w'");
+  EXPECT_EQ(registry.spec("w").description, "d");
+  EXPECT_EQ(error_of([&] {
+              registry.add({.name = "x", .description = "no factory"});
+            }),
+            "ScenarioRegistry: scenario 'x' has no factory");
+  EXPECT_EQ(error_of([&] {
+              registry.add({.name = "", .description = "d", .make = make});
+            }),
+            "ScenarioRegistry: empty scenario name");
+}
+
+// Every registry answers an unknown name in the same form, naming its
+// kind and listing the known names in order.
+TEST(Registries, UnknownNameMessagesNameTheKind) {
+  const auto starts_with = [](const std::string& text,
+                              const std::string& prefix) {
+    return text.rfind(prefix, 0) == 0;
+  };
+  EXPECT_EQ(error_of([] { default_algorithm_registry().spec("x"); }),
+            "unknown algorithm 'x'; known algorithms: alwaysopen, fotakis, "
+            "greedy, meyerson, pd, pd-nopred, pd-seenunion, rand, rentbuy");
+  EXPECT_TRUE(starts_with(
+      error_of([] { default_scenario_registry().spec("x"); }),
+      "unknown scenario 'x'; known scenarios: clustered, figure3, "));
+  EXPECT_TRUE(starts_with(
+      error_of([] { default_stream_scenario_registry().spec("x"); }),
+      "unknown stream scenario 'x'; known stream scenarios: "
+      "adversarial-churn, "));
+  EXPECT_EQ(error_of([] { default_workload_mix_registry().spec("x"); }),
+            "unknown workload mix 'x'; known mixes: churn-heavy, "
+            "lease-heavy, mixed");
+  EXPECT_EQ(error_of([] { default_bound_registry().spec("x"); }),
+            "unknown method 'x'; known methods: auto, certificate, chunked, "
+            "dual-ascent, exact-small");
 }
 
 TEST(ScenarioParams, IntegralValidation) {

@@ -1,15 +1,7 @@
-// omflp — the scenario-engine command line.
-//
-//   omflp list                          catalog of scenarios and algorithms
-//   omflp run    --scenario S ...       run one (scenario, algorithm, seed)
-//   omflp sweep  --scenarios a,b ...    mass-run a cross-product, emit CSV
-//   omflp replay FILE ...               re-run a saved instance trace
-//   omflp stream --scenario S ...       process a dynamic event stream
-//   omflp serve  --tenants K ...        drive the sharded multi-tenant engine
-//   omflp explain TRACELOG ...          replay a decision trace, render causality
-//   omflp bound  --scenario S ...       certified OPT lower bound
-//   omflp bench                         run the perf suite, emit BENCH json
-//   omflp compare OLD NEW               diff two BENCH json files
+// omflp — the scenario-engine command line. `omflp --help` lists the
+// verbs (list, run, sweep, replay, stream, bound, serve, explain, bench,
+// compare) with their options; `omflp <verb> --help` lists one verb's.
+// Both print the option tables the parser reads.
 //
 // Examples:
 //   omflp run --scenario clustered --algorithm pd --seed 3 --set clusters=8
@@ -37,6 +29,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -44,6 +37,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -76,156 +70,6 @@ namespace {
 
 using namespace omflp;
 
-int usage(std::ostream& os, int exit_code) {
-  os << "usage: omflp <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      list scenarios and algorithms\n"
-        "  run                       run one scenario under one algorithm\n"
-        "    --scenario NAME           required\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --save FILE               save the generated instance trace\n"
-        "  sweep                     run a (scenario x algorithm x seed) "
-        "cross-product\n"
-        "    --scenarios a,b|all       default: all\n"
-        "    --algorithms a,b|all      default: all\n"
-        "    --seeds N                 default: 8\n"
-        "    --seed-base N             default: 1\n"
-        "    --set key=value           override where declared "
-        "(repeatable)\n"
-        "    --threads N               default: hardware\n"
-        "    --ratio                   compute certified lower bounds "
-        "(fills the lower /\n"
-        "                              certified_ratio / gap columns)\n"
-        "    --csv FILE                write per-cell CSV (default: "
-        "stdout)\n"
-        "    --json FILE               also write per-cell JSON\n"
-        "  replay FILE               re-run a saved instance trace\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "  stream                    process a dynamic event stream "
-        "(arrivals + deletions)\n"
-        "    --scenario NAME           generate a stream scenario, or\n"
-        "    --trace FILE              stream a saved trace from disk "
-        "(bounded memory)\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --save FILE               save the generated stream trace\n"
-        "    --batch N                 events per IO/compaction batch "
-        "(default: 8192)\n"
-        "    --no-verify               skip the incremental stream "
-        "verifier\n"
-        "    --overflow POLICY         reassign | reject at a full "
-        "facility (capacitated streams; default: reassign)\n"
-        "    --trace-out FILE          write the decision trace "
-        "(OMFLP-TRACELOG v1 jsonl)\n"
-        "    --latency-csv FILE        write per-batch latency CSV "
-        "(batch,events,batch_ns,...)\n"
-        "    --ratio                   force the OPT(surviving) ratio "
-        "bracket (works with\n"
-        "                              --trace too: the surviving set is "
-        "rebuilt from the ledger)\n"
-        "  bound                     certified lower bound on OPT (verified "
-        "dual certificates)\n"
-        "    --scenario NAME           bound a static scenario instance, "
-        "or\n"
-        "    --instance FILE           a saved instance trace, or\n"
-        "    --stream NAME             a stream scenario (windowed "
-        "decomposition), or\n"
-        "    --trace FILE              a saved stream trace (bounded "
-        "memory)\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --method NAME             static bound method (default: auto; "
-        "see src/bound/registry.hpp)\n"
-        "    --window N                arrivals per window/chunk "
-        "(default: 4096)\n"
-        "    --algorithm NAME          also run the algorithm and report "
-        "the certified ratio\n"
-        "    --max-certified-ratio X   exit 1 when cost / lower exceeds "
-        "X\n"
-        "    --assert-paper-bound      exit 1 when the certified ratio "
-        "exceeds Theorem 4's\n"
-        "                              15*sqrt(|S|)*H_n (meaningful for "
-        "--algorithm pd)\n"
-        "    --save-cert FILE          write the dual certificate "
-        "(static bounds)\n"
-        "  serve                     drive the sharded multi-tenant stream "
-        "engine\n"
-        "    --tenants K               default: 8\n"
-        "    --mix NAME                workload mix (default: mixed; see "
-        "`omflp list`)\n"
-        "    --algorithm NAME          serve every tenant with this "
-        "algorithm (default: pd)\n"
-        "    --seed N                  default: 1\n"
-        "    --shards N                default: min(tenants, threads)\n"
-        "    --threads N               default: hardware / OMFLP_THREADS\n"
-        "    --batch N                 events per tenant per round "
-        "(default: 2048)\n"
-        "    --scale X                 scale every tenant's workload size "
-        "(default: 1)\n"
-        "    --no-verify               skip the per-tenant incremental "
-        "verifiers\n"
-        "    --capacity N              uniform per-point facility capacity "
-        "for every tenant (default: 0 = scenario's own)\n"
-        "    --overflow POLICY         reassign | reject at a full "
-        "facility (default: reassign)\n"
-        "    --seq-baseline            also run the tenants sequentially "
-        "and report the speedup\n"
-        "    --metrics-out FILE        live per-shard telemetry "
-        "(.jsonl/.json -> JSONL, else CSV)\n"
-        "    --sample-every N          rounds between telemetry samples "
-        "(default: 1)\n"
-        "    --trace-out FILE          write the merged decision trace "
-        "(tenant-order, deterministic)\n"
-        "    --checkpoint-dir DIR      restore from / publish OMFLP-CKPT "
-        "generations in DIR\n"
-        "    --checkpoint-every N      rounds between checkpoint "
-        "generations (default: 0 = restore only)\n"
-        "    --fault-plan SPEC         deterministic crash injection, e.g. "
-        "crashes=2,seed=7,gap=8,torn=1\n"
-        "    --placement \"0,1,...\"     explicit tenant->shard placement "
-        "(migration; default round-robin)\n"
-        "    --report-out FILE         write the deterministic per-tenant "
-        "report (atomic)\n"
-        "  explain TRACELOG          replay a decision trace and render "
-        "the causal chain\n"
-        "    --facility N              why did facility N open (bids, "
-        "tightness, rollbacks)\n"
-        "    --request N               every event involving request N\n"
-        "    --recover                 accept a torn/corrupt tracelog and "
-        "use its valid prefix\n"
-        "  bench                     run the perf suite, write BENCH json\n"
-        "    --out FILE                default: BENCH_<suite>.json\n"
-        "    --quick                   fewer warmup/timed trials (CI "
-        "smoke)\n"
-        "    --trials N                override timed trials per case\n"
-        "    --warmup N                override warmup runs per case\n"
-        "  compare OLD NEW           diff two BENCH json files\n"
-        "    --threshold X             regression gate on ns/op "
-        "(default: 1.10)\n"
-        "    --report-only             never fail on wall time (CI trend "
-        "reporting)\n"
-        "    --fail-on-missing         treat baseline cases missing from "
-        "NEW as regressions\n"
-        "    --counters-exact          fail when a work counter both files "
-        "carry differs\n";
-  return exit_code;
-}
-
-/// Pops the value of `--flag value`; throws on a missing value.
-std::string take_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size())
-    throw std::invalid_argument("missing value after " + args[i]);
-  return args[++i];
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   std::stringstream ss(text);
@@ -235,9 +79,6 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
-// Strict parsers from support/parse.hpp: negative input no longer wraps
-// ("--trials -5" used to become 2^64−5 through strtoull) and ERANGE
-// overflow in either direction is rejected with a clear error.
 void parse_set(const std::string& text,
                std::map<std::string, double>& overrides) {
   const auto eq = text.find('=');
@@ -255,30 +96,184 @@ OverflowPolicy parse_overflow_arg(const std::string& value) {
       "--overflow expects reassign or reject, got '" + value + "'");
 }
 
+// --------------------------------------------------------------- options ---
+//
+// Each verb declares its flags once, as rows of an option table bound to
+// the verb's argument struct, whose member initializers are the defaults.
+// The same rows drive the parser and `omflp <verb> --help`, so a flag
+// cannot be accepted without being documented.
+
+/// One flag: its name, the placeholder of its value (empty for a
+/// switch), its help text and what it sets.
+struct Option {
+  std::string flag;
+  std::string value;
+  std::string help;
+  std::function<void(const std::string&)> set;
+};
+
+struct OptionTable {
+  std::vector<Option> options;
+  /// Takes one positional operand or refuses it (the argument is then an
+  /// unknown option); null for verbs without operands.
+  std::function<bool(const std::string&)> operand;
+};
+
+// Strings verbatim; numbers through the strict parsers of
+// support/parse.hpp, whose messages name the flag ("--trials -5" is
+// rejected instead of wrapping to 2^64-5); std::optional fields through
+// their value type.
+template <class T>
+void assign(T& target, const std::string& text, const std::string& flag) {
+  if constexpr (std::is_same_v<T, std::string>)
+    target = text;
+  else if constexpr (std::is_floating_point_v<T>)
+    target = parse_double_arg(text, flag);
+  else if constexpr (std::is_integral_v<T>)
+    target = static_cast<T>(parse_u64_arg(text, flag));
+  else
+    assign(target.emplace(), text, flag);
+}
+
+/// `flag VALUE`, parsed into `target`. --help shows the field's value
+/// when the table is built (the default), unless it is empty or unset.
+template <class T>
+Option value(std::string flag, std::string placeholder, std::string help,
+             T& target) {
+  std::ostringstream fallback;
+  if constexpr (std::is_arithmetic_v<T> || std::is_same_v<T, std::string>)
+    fallback << target;
+  if (!fallback.str().empty()) help += " (default: " + fallback.str() + ")";
+  return {flag, std::move(placeholder), std::move(help),
+          [&target, flag](const std::string& text) {
+            assign(target, text, flag);
+          }};
+}
+
+/// A switch: `flag` sets `target` to `to`.
+template <class T>
+Option toggle(std::string flag, std::string help, T& target, T to) {
+  return {std::move(flag), "", std::move(help),
+          [&target, to](const std::string&) { target = to; }};
+}
+
+// Rows several verbs share.
+Option scenario_row(std::string& name, std::string help) {
+  return value("--scenario", "NAME", std::move(help), name);
+}
+
+Option algorithm_row(std::string& name,
+                     std::string help = "online algorithm from `omflp "
+                                        "list`") {
+  return value("--algorithm", "NAME", std::move(help), name);
+}
+
+Option seed_row(std::uint64_t& seed) {
+  return value("--seed", "N",
+               "seed of the workload and of the algorithm's coins", seed);
+}
+
+Option threads_row(std::size_t& threads) {
+  return value("--threads", "N", "worker threads, 0 = hardware / "
+               "OMFLP_THREADS", threads);
+}
+
+Option batch_row(std::size_t& batch, std::string help) {
+  return value("--batch", "N", std::move(help), batch);
+}
+
+Option set_row(std::map<std::string, double>& overrides,
+               std::string help = "override a scenario parameter "
+                                  "(repeatable)") {
+  return {"--set", "key=value", std::move(help),
+          [&overrides](const std::string& text) {
+            parse_set(text, overrides);
+          }};
+}
+
+Option overflow_row(OverflowPolicy& policy) {
+  return {"--overflow", "POLICY",
+          std::string("reassign | reject at a full facility (default: ") +
+              overflow_policy_tag(policy) + ")",
+          [&policy](const std::string& text) {
+            policy = parse_overflow_arg(text);
+          }};
+}
+
+void parse_options(const std::string& verb, const OptionTable& table,
+                   const std::vector<std::string>& args) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const auto row =
+        std::find_if(table.options.begin(), table.options.end(),
+                     [&](const Option& option) { return option.flag == arg; });
+    if (row == table.options.end()) {
+      if (!table.operand || arg.empty() || arg[0] == '-' ||
+          !table.operand(arg))
+        throw std::invalid_argument(verb + ": unknown option " + arg);
+    } else if (row->value.empty()) {
+      row->set(arg);
+    } else if (i + 1 < args.size()) {
+      row->set(args[++i]);
+    } else {
+      throw std::invalid_argument("missing value after " + arg);
+    }
+  }
+}
+
+/// `head`, padded to the help column, then `text` word-wrapped at 79.
+void write_row(std::ostream& os, std::string head, const std::string& text) {
+  constexpr std::size_t kColumn = 30;
+  constexpr std::size_t kWidth = 79;
+  head.resize(std::max(head.size() + 2, kColumn), ' ');
+  std::string line = std::move(head);
+  bool fresh = true;  // no word on `line` yet
+  std::istringstream words(text);
+  for (std::string word; words >> word;) {
+    if (!fresh && line.size() + 1 + word.size() > kWidth) {
+      os << line << "\n";
+      line.assign(kColumn, ' ');
+      fresh = true;
+    }
+    line += (fresh ? "" : " ") + word;
+    fresh = false;
+  }
+  os << line << "\n";
+}
+
+void write_options(std::ostream& os, const OptionTable& table) {
+  for (const Option& option : table.options)
+    write_row(os,
+              "    " + option.flag +
+                  (option.value.empty() ? "" : " " + option.value),
+              option.help);
+}
+
 // ------------------------------------------------------------------ list ---
 
-int cmd_list() {
+struct ListArgs {
+  OptionTable table() { return {}; }
+};
+
+int cmd_list(const ListArgs&) {
   const ScenarioRegistry& scenarios = default_scenario_registry();
   const StreamScenarioRegistry& streams = default_stream_scenario_registry();
   const AlgorithmRegistry& algorithms = default_algorithm_registry();
 
+  const auto write_scenarios = [](const auto& registry) {
+    for (const std::string& name : registry.names()) {
+      const auto& spec = registry.spec(name);
+      std::cout << "  " << name << " — " << spec.description << "\n";
+      for (const ScenarioParam& param : spec.params)
+        std::cout << "      " << param.name << " = " << param.value << "  ("
+                  << param.description << ")\n";
+    }
+  };
   std::cout << "scenarios (" << scenarios.size() << "):\n";
-  for (const std::string& name : scenarios.names()) {
-    const ScenarioSpec& spec = scenarios.spec(name);
-    std::cout << "  " << name << " — " << spec.description << "\n";
-    for (const ScenarioParam& param : spec.params)
-      std::cout << "      " << param.name << " = " << param.value << "  ("
-                << param.description << ")\n";
-  }
+  write_scenarios(scenarios);
   std::cout << "\nstream scenarios (" << streams.size()
             << ", for `omflp stream`):\n";
-  for (const std::string& name : streams.names()) {
-    const StreamScenarioSpec& spec = streams.spec(name);
-    std::cout << "  " << name << " — " << spec.description << "\n";
-    for (const ScenarioParam& param : spec.params)
-      std::cout << "      " << param.name << " = " << param.value << "  ("
-                << param.description << ")\n";
-  }
+  write_scenarios(streams);
   const WorkloadMixRegistry& mixes = default_workload_mix_registry();
   std::cout << "\nworkload mixes (" << mixes.size()
             << ", for `omflp serve`):\n";
@@ -358,55 +353,66 @@ void report_run(const Instance& instance, const std::string& algorithm_name,
   }
 }
 
-int cmd_run(const std::vector<std::string>& args) {
+struct RunArgs {
   std::string scenario;
   std::string algorithm = "pd";
-  std::string save_path;
   std::uint64_t seed = 1;
   std::map<std::string, double> overrides;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed") seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--save") save_path = take_value(args, i);
-    else throw std::invalid_argument("run: unknown option " + args[i]);
+  std::string save_path;
+
+  OptionTable table() {
+    return {{scenario_row(scenario, "scenario to generate (required)"),
+             algorithm_row(algorithm), seed_row(seed), set_row(overrides),
+             value("--save", "FILE", "save the generated instance trace",
+                   save_path)}};
   }
-  if (scenario.empty())
+};
+
+int cmd_run(const RunArgs& a) {
+  if (a.scenario.empty())
     throw std::invalid_argument("run: --scenario is required");
 
   const Instance instance =
-      default_scenario_registry().make(scenario, seed, overrides);
-  if (!save_path.empty()) {
-    AtomicFileWriter file(save_path);
+      default_scenario_registry().make(a.scenario, a.seed, a.overrides);
+  if (!a.save_path.empty()) {
+    AtomicFileWriter file(a.save_path);
     write_instance(file.stream(), instance);
     file.commit();
-    std::cout << "saved      " << save_path << "\n";
+    std::cout << "saved      " << a.save_path << "\n";
   }
-  report_run(instance, algorithm, seed);
+  report_run(instance, a.algorithm, a.seed);
   return 0;
 }
 
 // ---------------------------------------------------------------- replay ---
 
-int cmd_replay(const std::vector<std::string>& args) {
+/// Takes the first positional operand into `path`; refuses a second.
+std::function<bool(const std::string&)> one_operand(std::string& path) {
+  return [&path](const std::string& arg) {
+    if (!path.empty()) return false;
+    path = arg;
+    return true;
+  };
+}
+
+struct ReplayArgs {
   std::string path;
   std::string algorithm = "pd";
   std::uint64_t seed = 1;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed") seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (!args[i].empty() && args[i][0] != '-' && path.empty())
-      path = args[i];
-    else throw std::invalid_argument("replay: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{algorithm_row(algorithm), seed_row(seed)}, one_operand(path)};
   }
-  if (path.empty())
+};
+
+int cmd_replay(const ReplayArgs& a) {
+  if (a.path.empty())
     throw std::invalid_argument("replay: an instance file is required");
 
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open " + path);
+  std::ifstream file(a.path);
+  if (!file) throw std::runtime_error("cannot open " + a.path);
   const Instance instance = read_instance(file);
-  report_run(instance, algorithm, seed);
+  report_run(instance, a.algorithm, a.seed);
   return 0;
 }
 
@@ -599,81 +605,90 @@ StreamRunResult run_stream_observed(OnlineAlgorithm& algorithm,
   return session.finish();
 }
 
-int cmd_stream(const std::vector<std::string>& args) {
+struct StreamArgs {
   std::string scenario;
   std::string trace_path;
   std::string algorithm = "pd";
-  std::string save_path;
-  std::string trace_out;
-  std::string latency_csv;
   std::uint64_t seed = 1;
   std::map<std::string, double> overrides;
-  StreamRunOptions options;
-  options.verify = true;
+  std::string save_path;
+  StreamRunOptions options{.verify = true};
+  std::string trace_out;
+  std::string latency_csv;
   bool force_ratio = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--trace") trace_path = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--save") save_path = take_value(args, i);
-    else if (args[i] == "--batch")
-      options.batch_size = parse_u64_arg(take_value(args, i), "--batch");
-    else if (args[i] == "--no-verify") options.verify = false;
-    else if (args[i] == "--overflow")
-      options.overflow = parse_overflow_arg(take_value(args, i));
-    else if (args[i] == "--trace-out") trace_out = take_value(args, i);
-    else if (args[i] == "--latency-csv") latency_csv = take_value(args, i);
-    else if (args[i] == "--ratio") force_ratio = true;
-    else throw std::invalid_argument("stream: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{scenario_row(scenario, "generate this stream scenario, or"),
+             value("--trace", "FILE",
+                   "stream a saved trace from disk (bounded memory)",
+                   trace_path),
+             algorithm_row(algorithm), seed_row(seed), set_row(overrides),
+             value("--save", "FILE", "save the generated stream trace",
+                   save_path),
+             batch_row(options.batch_size,
+                       "events per IO/compaction batch"),
+             toggle("--no-verify", "skip the incremental stream verifier",
+                    options.verify, false),
+             overflow_row(options.overflow),
+             value("--trace-out", "FILE",
+                   "write the decision trace (OMFLP-TRACELOG v1 jsonl)",
+                   trace_out),
+             value("--latency-csv", "FILE",
+                   "write per-batch latency CSV (batch,events,batch_ns,...)",
+                   latency_csv),
+             toggle("--ratio",
+                    "force the OPT(surviving) ratio bracket (with --trace "
+                    "too: the ledger rebuilds the surviving set)",
+                    force_ratio, true)}};
   }
-  if (scenario.empty() == trace_path.empty())
+};
+
+int cmd_stream(const StreamArgs& a) {
+  if (a.scenario.empty() == a.trace_path.empty())
     throw std::invalid_argument(
         "stream: exactly one of --scenario / --trace is required");
 
   auto algo = default_algorithm_registry().make(
-      algorithm, derive_algorithm_seed(seed));
+      a.algorithm, derive_algorithm_seed(a.seed));
 
   auto finish = [&](const std::string& name, const StreamRunResult& result,
                     const MetricPtr& metric, const CostModelPtr& cost) {
-    report_stream(name, *algo, seed, result,
-                  options.verify && !result.violation, metric, cost,
-                  force_ratio);
+    report_stream(name, *algo, a.seed, result,
+                  a.options.verify && !result.violation, metric, cost,
+                  a.force_ratio);
     if (result.violation)
       throw std::logic_error("invalid stream run: " +
                              result.violation->what);
     return 0;
   };
 
-  if (!trace_path.empty()) {
-    if (!save_path.empty())
+  if (!a.trace_path.empty()) {
+    if (!a.save_path.empty())
       throw std::invalid_argument(
           "stream: --save applies to generated scenarios only");
-    if (!overrides.empty())
+    if (!a.overrides.empty())
       throw std::invalid_argument(
           "stream: --set applies to generated scenarios only; a trace "
           "replays exactly as saved");
-    std::ifstream file(trace_path);
-    if (!file) throw std::runtime_error("cannot open " + trace_path);
+    std::ifstream file(a.trace_path);
+    if (!file) throw std::runtime_error("cannot open " + a.trace_path);
     StreamTraceReader reader(file);
-    const StreamRunResult result =
-        run_stream_observed(*algo, reader, options, trace_out, latency_csv);
+    const StreamRunResult result = run_stream_observed(
+        *algo, reader, a.options, a.trace_out, a.latency_csv);
     return finish(reader.name(), result, reader.metric(), reader.cost());
   }
 
   const EventStream stream =
-      default_stream_scenario_registry().make(scenario, seed, overrides);
-  if (!save_path.empty()) {
-    AtomicFileWriter file(save_path);
+      default_stream_scenario_registry().make(a.scenario, a.seed, a.overrides);
+  if (!a.save_path.empty()) {
+    AtomicFileWriter file(a.save_path);
     write_event_stream(file.stream(), stream);
     file.commit();
-    std::cout << "saved      " << save_path << "\n";
+    std::cout << "saved      " << a.save_path << "\n";
   }
   MaterializedEventSource source(stream);
-  const StreamRunResult result =
-      run_stream_observed(*algo, source, options, trace_out, latency_csv);
+  const StreamRunResult result = run_stream_observed(
+      *algo, source, a.options, a.trace_out, a.latency_csv);
   return finish(stream.name(), result, stream.metric_ptr(),
                 stream.cost_ptr());
 }
@@ -734,79 +749,88 @@ std::string tenant_report(const EngineResult& result, bool verify) {
   return os.str();
 }
 
-int cmd_serve(const std::vector<std::string>& args) {
+struct ServeArgs {
   std::size_t tenants = 8;
   std::string mix = "mixed";
   std::string algorithm = "pd";
+  std::uint64_t seed = 1;
+  double scale = 1.0;
+  EngineOptions options;
+  bool seq_baseline = false;
   std::string metrics_out;
+  std::uint64_t sample_every = 1;
   std::string trace_out;
   std::string fault_spec;
   std::string placement_spec;
   std::string report_out;
-  std::uint64_t sample_every = 1;
-  std::uint64_t seed = 1;
-  double scale = 1.0;
-  bool seq_baseline = false;
-  EngineOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--tenants")
-      tenants = parse_u64_arg(take_value(args, i), "--tenants");
-    else if (args[i] == "--mix") mix = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--shards")
-      options.shards = parse_u64_arg(take_value(args, i), "--shards");
-    else if (args[i] == "--threads")
-      options.threads = parse_u64_arg(take_value(args, i), "--threads");
-    else if (args[i] == "--batch")
-      options.batch_size = parse_u64_arg(take_value(args, i), "--batch");
-    else if (args[i] == "--scale")
-      scale = parse_double_arg(take_value(args, i), "--scale");
-    else if (args[i] == "--no-verify") options.verify = false;
-    else if (args[i] == "--capacity")
-      options.capacity = parse_u64_arg(take_value(args, i), "--capacity");
-    else if (args[i] == "--overflow")
-      options.overflow = parse_overflow_arg(take_value(args, i));
-    else if (args[i] == "--seq-baseline") seq_baseline = true;
-    else if (args[i] == "--metrics-out") metrics_out = take_value(args, i);
-    else if (args[i] == "--sample-every")
-      sample_every = parse_u64_arg(take_value(args, i), "--sample-every");
-    else if (args[i] == "--trace-out") trace_out = take_value(args, i);
-    else if (args[i] == "--checkpoint-dir")
-      options.checkpoint_dir = take_value(args, i);
-    else if (args[i] == "--checkpoint-every")
-      options.checkpoint_every =
-          parse_u64_arg(take_value(args, i), "--checkpoint-every");
-    else if (args[i] == "--fault-plan") fault_spec = take_value(args, i);
-    else if (args[i] == "--placement") placement_spec = take_value(args, i);
-    else if (args[i] == "--report-out") report_out = take_value(args, i);
-    else throw std::invalid_argument("serve: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{value("--tenants", "K", "tenant count", tenants),
+             value("--mix", "NAME", "workload mix from `omflp list`", mix),
+             algorithm_row(algorithm,
+                           "serve every tenant with this algorithm"),
+             seed_row(seed),
+             value("--shards", "N", "worker shards, 0 = min(tenants, "
+                   "threads)", options.shards),
+             threads_row(options.threads),
+             batch_row(options.batch_size, "events per tenant per round"),
+             value("--scale", "X", "scale every tenant's workload size",
+                   scale),
+             toggle("--no-verify", "skip the per-tenant incremental "
+                    "verifiers", options.verify, false),
+             value("--capacity", "N", "uniform per-point facility capacity "
+                   "for every tenant, 0 = the scenario's own",
+                   options.capacity),
+             overflow_row(options.overflow),
+             toggle("--seq-baseline", "also run the tenants sequentially "
+                    "and report the speedup", seq_baseline, true),
+             value("--metrics-out", "FILE", "live per-shard telemetry "
+                   "(.jsonl/.json -> JSONL, else CSV)", metrics_out),
+             value("--sample-every", "N", "rounds between telemetry "
+                   "samples", sample_every),
+             value("--trace-out", "FILE", "write the merged decision trace "
+                   "(tenant-order, deterministic)", trace_out),
+             value("--checkpoint-dir", "DIR", "restore from / publish "
+                   "OMFLP-CKPT generations in DIR", options.checkpoint_dir),
+             value("--checkpoint-every", "N", "rounds between checkpoint "
+                   "generations, 0 = restore only", options.checkpoint_every),
+             value("--fault-plan", "SPEC", "deterministic crash injection, "
+                   "e.g. crashes=2,seed=7,gap=8,torn=1", fault_spec),
+             value("--placement", "LIST", "explicit tenant->shard placement "
+                   "\"0,1,...\" (migration; default round-robin)",
+                   placement_spec),
+             value("--report-out", "FILE", "write the deterministic "
+                   "per-tenant report (atomic)", report_out)}};
   }
+};
+
+int cmd_serve(const ServeArgs& a) {
+  EngineOptions options = a.options;
   if (options.checkpoint_every > 0 && options.checkpoint_dir.empty())
     throw std::invalid_argument(
         "serve: --checkpoint-every requires --checkpoint-dir");
-  if (!placement_spec.empty()) {
-    std::istringstream fields(placement_spec);
+  if (!a.placement_spec.empty()) {
+    std::istringstream fields(a.placement_spec);
     std::string field;
     while (std::getline(fields, field, ','))
       options.placement.push_back(
           parse_u64_arg(field, "--placement"));
   }
   std::optional<FaultPlan> fault_plan;
-  if (!fault_spec.empty()) {
+  if (!a.fault_spec.empty()) {
     if (options.checkpoint_dir.empty() || options.checkpoint_every == 0)
       throw std::invalid_argument(
           "serve: --fault-plan requires --checkpoint-dir and "
           "--checkpoint-every (a crash without checkpoints only loses "
           "work)");
-    fault_plan = FaultPlan::parse(fault_spec);
+    fault_plan = FaultPlan::parse(a.fault_spec);
     options.fault_plan = &*fault_plan;
   }
 
   std::vector<TenantSpec> specs =
-      default_workload_mix_registry().tenants(mix, tenants, seed, scale);
-  for (TenantSpec& spec : specs) spec.algorithm = algorithm;
+      default_workload_mix_registry().tenants(a.mix, a.tenants, a.seed,
+                                              a.scale);
+  for (TenantSpec& spec : specs) spec.algorithm = a.algorithm;
 
   // Observability taps, wired into EngineOptions before construction.
   // The metrics stream stays open across injected crashes (the telemetry
@@ -814,16 +838,14 @@ int cmd_serve(const std::vector<std::string>& args) {
   // atomically at the end.
   std::optional<AtomicFileWriter> metrics_file;
   std::optional<MetricsSampler> sampler;
-  if (!metrics_out.empty()) {
-    metrics_file.emplace(metrics_out);
+  if (!a.metrics_out.empty()) {
+    metrics_file.emplace(a.metrics_out);
     const bool jsonl =
-        metrics_out.size() >= 5 &&
-        (metrics_out.rfind(".jsonl") == metrics_out.size() - 6 ||
-         metrics_out.rfind(".json") == metrics_out.size() - 5);
+        a.metrics_out.ends_with(".jsonl") || a.metrics_out.ends_with(".json");
     sampler.emplace(metrics_file->stream(),
                     jsonl ? MetricsSampler::Format::kJsonl
                           : MetricsSampler::Format::kCsv,
-                    sample_every);
+                    a.sample_every);
     options.sampler = &*sampler;
   }
   // Decision trace: streamed straight to the (atomically published) file
@@ -833,12 +855,12 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::optional<AtomicFileWriter> trace_file;
   std::optional<TraceLogWriter> trace_writer;
   std::optional<VecTraceSink> trace_vec;
-  if (!trace_out.empty()) {
+  if (!a.trace_out.empty()) {
     if (fault_plan) {
       trace_vec.emplace();
       options.trace_sink = &*trace_vec;
     } else {
-      trace_file.emplace(trace_out);
+      trace_file.emplace(a.trace_out);
       trace_writer.emplace(trace_file->stream());
       options.trace_sink = &*trace_writer;
     }
@@ -875,33 +897,33 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
 
   if (trace_vec) {
-    trace_file.emplace(trace_out);
+    trace_file.emplace(a.trace_out);
     TraceLogWriter writer(trace_file->stream());
     for (const TraceEvent& event : trace_vec->events)
       writer.on_event(event);
     writer.finish();
     trace_file->commit();
     std::cout << "trace      " << writer.events_written() << " events -> "
-              << trace_out << "\n";
+              << a.trace_out << "\n";
   } else if (trace_writer) {
     trace_writer->finish();
     trace_file->commit();
     std::cout << "trace      " << trace_writer->events_written()
-              << " events -> " << trace_out << "\n";
+              << " events -> " << a.trace_out << "\n";
   }
   if (sampler) {
     metrics_file->commit();
-    std::cout << "metrics    per-shard telemetry (every " << sample_every
-              << " round" << (sample_every == 1 ? "" : "s") << ") -> "
-              << metrics_out << "\n";
+    std::cout << "metrics    per-shard telemetry (every " << a.sample_every
+              << " round" << (a.sample_every == 1 ? "" : "s") << ") -> "
+              << a.metrics_out << "\n";
   }
 
   std::cout.precision(17);
-  std::cout << "engine     mix=" << mix << " tenants="
+  std::cout << "engine     mix=" << a.mix << " tenants="
             << result.tenants.size() << " shards=" << result.shards
             << " threads=" << result.threads << " batch="
-            << options.batch_size << " algorithm=" << algorithm
-            << " (seed " << seed << ")\n"
+            << options.batch_size << " algorithm=" << a.algorithm
+            << " (seed " << a.seed << ")\n"
             << "rounds     " << result.rounds << " (global clock)\n"
             << "events     " << result.total_events << " total\n"
             << "throughput " << result.events_per_sec()
@@ -965,9 +987,9 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   const std::string report = tenant_report(result, options.verify);
   std::cout << report;
-  if (!report_out.empty()) {
-    write_file_atomic(report_out, report);
-    std::cout << "report     " << report_out << "\n";
+  if (!a.report_out.empty()) {
+    write_file_atomic(a.report_out, report);
+    std::cout << "report     " << a.report_out << "\n";
   }
 
   if (const TenantResult* violation = result.first_violation())
@@ -977,7 +999,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::cout << "verified   all " << result.tenants.size()
               << " tenant ledgers OK\n";
 
-  if (seq_baseline) {
+  if (a.seq_baseline) {
     // The same tenants, one run_stream after another on this thread —
     // the loop the engine's aggregate throughput is judged against.
     // Stream generation is excluded from the timing on both sides.
@@ -1044,91 +1066,98 @@ int cmd_serve(const std::vector<std::string>& args) {
 
 // --------------------------------------------------------------- explain ---
 
-int cmd_explain(const std::vector<std::string>& args) {
+struct ExplainArgs {
   std::string path;
   ExplainOptions options;
   TraceLogReadMode mode = TraceLogReadMode::kStrict;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--facility")
-      options.facility = static_cast<FacilityId>(
-          parse_u64_arg(take_value(args, i), "--facility"));
-    else if (args[i] == "--request")
-      options.request = static_cast<RequestId>(
-          parse_u64_arg(take_value(args, i), "--request"));
-    else if (args[i] == "--recover")
-      mode = TraceLogReadMode::kRecoverPrefix;
-    else if (!args[i].empty() && args[i][0] != '-' && path.empty())
-      path = args[i];
-    else throw std::invalid_argument("explain: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{value("--facility", "N", "why did facility N open (bids, "
+                   "tightness, rollbacks)", options.facility),
+             value("--request", "N", "every event involving request N",
+                   options.request),
+             toggle("--recover", "accept a torn/corrupt tracelog and use "
+                    "its valid prefix", mode,
+                    TraceLogReadMode::kRecoverPrefix)},
+            one_operand(path)};
   }
-  if (path.empty())
+};
+
+int cmd_explain(const ExplainArgs& a) {
+  if (a.path.empty())
     throw std::invalid_argument("explain: a tracelog file is required");
-  if (options.facility && options.request)
+  if (a.options.facility && a.options.request)
     throw std::invalid_argument(
         "explain: --facility and --request are mutually exclusive");
 
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open " + path);
-  TraceLogReader reader(file, mode);
+  std::ifstream file(a.path);
+  if (!file) throw std::runtime_error("cannot open " + a.path);
+  TraceLogReader reader(file, a.mode);
   std::vector<TraceEvent> events;
   TraceEvent event;
   while (reader.next(event)) events.push_back(std::move(event));
   if (reader.truncated())
     std::cout << "recovered  " << reader.events_read()
               << "-event valid prefix of a torn tracelog\n";
-  std::cout << explain_trace(events, options);
+  std::cout << explain_trace(events, a.options);
   return 0;
 }
 
 // ----------------------------------------------------------------- sweep ---
 
-int cmd_sweep(const std::vector<std::string>& args) {
+/// `--scenarios a,b|all` and `--algorithms a,b|all`: an empty list
+/// crosses every registered name.
+Option names_row(std::string flag, std::string help,
+                 std::vector<std::string>& names) {
+  return {std::move(flag), "a,b|all", std::move(help) + " (default: all)",
+          [&names](const std::string& text) {
+            if (text != "all") names = split_csv(text);
+          }};
+}
+
+struct SweepArgs {
   SweepOptions options;
   std::string csv_path;
   std::string json_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenarios") {
-      const std::string value = take_value(args, i);
-      if (value != "all") options.scenarios = split_csv(value);
-    } else if (args[i] == "--algorithms") {
-      const std::string value = take_value(args, i);
-      if (value != "all") options.algorithms = split_csv(value);
-    } else if (args[i] == "--seeds") {
-      options.seeds = parse_u64_arg(take_value(args, i), "--seeds");
-    } else if (args[i] == "--seed-base") {
-      options.seed_base = parse_u64_arg(take_value(args, i), "--seed-base");
-    } else if (args[i] == "--set") {
-      parse_set(take_value(args, i), options.overrides);
-    } else if (args[i] == "--threads") {
-      options.threads = parse_u64_arg(take_value(args, i), "--threads");
-    } else if (args[i] == "--ratio") {
-      options.opt.compute_lower = true;
-    } else if (args[i] == "--csv") {
-      csv_path = take_value(args, i);
-    } else if (args[i] == "--json") {
-      json_path = take_value(args, i);
-    } else {
-      throw std::invalid_argument("sweep: unknown option " + args[i]);
-    }
-  }
 
-  const SweepResult result = run_sweep(options);
-  if (csv_path.empty()) {
+  OptionTable table() {
+    return {{names_row("--scenarios", "scenarios to cross",
+                       options.scenarios),
+             names_row("--algorithms", "algorithms to cross",
+                       options.algorithms),
+             value("--seeds", "N", "seeds per cell", options.seeds),
+             value("--seed-base", "N", "first seed", options.seed_base),
+             set_row(options.overrides, "override a parameter where a "
+                     "scenario declares it (repeatable)"),
+             threads_row(options.threads),
+             toggle("--ratio", "compute certified lower bounds (the "
+                    "lower / certified_ratio / gap columns)",
+                    options.opt.compute_lower, true),
+             value("--csv", "FILE", "write per-cell CSV here instead of "
+                   "stdout", csv_path),
+             value("--json", "FILE", "also write per-cell JSON",
+                   json_path)}};
+  }
+};
+
+int cmd_sweep(const SweepArgs& a) {
+  const SweepResult result = run_sweep(a.options);
+  if (a.csv_path.empty()) {
     result.write_csv(std::cout);
   } else {
-    AtomicFileWriter file(csv_path);
+    AtomicFileWriter file(a.csv_path);
     result.write_csv(file.stream());
     file.commit();
     std::cout << "wrote " << result.cells().size() << " cells ("
               << result.scenarios().size() << " scenarios x "
               << result.algorithms().size() << " algorithms, "
-              << result.seeds() << " seeds each) to " << csv_path << "\n";
+              << result.seeds() << " seeds each) to " << a.csv_path << "\n";
   }
-  if (!json_path.empty()) {
-    AtomicFileWriter file(json_path);
+  if (!a.json_path.empty()) {
+    AtomicFileWriter file(a.json_path);
     result.write_json(file.stream());
     file.commit();
-    std::cout << "wrote JSON to " << json_path << "\n";
+    std::cout << "wrote JSON to " << a.json_path << "\n";
   }
   return 0;
 }
@@ -1189,42 +1218,49 @@ int bound_gates(double cost, bool have_cost, double lower,
   return exit_code;
 }
 
-int cmd_bound(const std::vector<std::string>& args) {
+struct BoundArgs {
   std::string scenario;
   std::string instance_path;
   std::string stream_scenario;
   std::string trace_path;
-  std::string method = "auto";
-  std::string algorithm;
-  std::string save_cert_path;
   std::uint64_t seed = 1;
+  std::map<std::string, double> overrides;
+  std::string method = "auto";
   std::size_t window = 4096;
+  std::string algorithm;
   std::optional<double> max_certified_ratio;
   bool assert_paper_bound = false;
-  std::map<std::string, double> overrides;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--instance") instance_path = take_value(args, i);
-    else if (args[i] == "--stream") stream_scenario = take_value(args, i);
-    else if (args[i] == "--trace") trace_path = take_value(args, i);
-    else if (args[i] == "--method") method = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--window")
-      window = parse_u64_arg(take_value(args, i), "--window");
-    else if (args[i] == "--max-certified-ratio")
-      max_certified_ratio = parse_double_arg(take_value(args, i),
-                                             "--max-certified-ratio");
-    else if (args[i] == "--assert-paper-bound") assert_paper_bound = true;
-    else if (args[i] == "--save-cert") save_cert_path = take_value(args, i);
-    else throw std::invalid_argument("bound: unknown option " + args[i]);
+  std::string save_cert_path;
+
+  OptionTable table() {
+    return {{scenario_row(scenario, "bound a static scenario instance, or"),
+             value("--instance", "FILE", "a saved instance trace, or",
+                   instance_path),
+             value("--stream", "NAME", "a stream scenario (windowed "
+                   "decomposition), or", stream_scenario),
+             value("--trace", "FILE", "a saved stream trace (bounded "
+                   "memory)", trace_path),
+             seed_row(seed), set_row(overrides),
+             value("--method", "NAME", "static bound method named in "
+                   "src/bound/registry.hpp", method),
+             value("--window", "N", "arrivals per window/chunk", window),
+             algorithm_row(algorithm, "also run this algorithm and report "
+                           "the certified ratio"),
+             value("--max-certified-ratio", "X", "exit 1 when cost / lower "
+                   "exceeds X", max_certified_ratio),
+             toggle("--assert-paper-bound", "exit 1 when the certified "
+                    "ratio exceeds Theorem 4's 15*sqrt(|S|)*H_n (meaningful "
+                    "for --algorithm pd)", assert_paper_bound, true),
+             value("--save-cert", "FILE", "write the dual certificate "
+                   "(static bounds)", save_cert_path)}};
   }
-  const int sources = (scenario.empty() ? 0 : 1) +
-                      (instance_path.empty() ? 0 : 1) +
-                      (stream_scenario.empty() ? 0 : 1) +
-                      (trace_path.empty() ? 0 : 1);
+};
+
+int cmd_bound(const BoundArgs& a) {
+  const int sources = (a.scenario.empty() ? 0 : 1) +
+                      (a.instance_path.empty() ? 0 : 1) +
+                      (a.stream_scenario.empty() ? 0 : 1) +
+                      (a.trace_path.empty() ? 0 : 1);
   if (sources != 1)
     throw std::invalid_argument(
         "bound: exactly one of --scenario / --instance / --stream / "
@@ -1233,19 +1269,20 @@ int cmd_bound(const std::vector<std::string>& args) {
   std::cout.precision(17);
 
   // ---- static instance: one registry bound, optional certificate dump.
-  if (!scenario.empty() || !instance_path.empty()) {
+  if (!a.scenario.empty() || !a.instance_path.empty()) {
     Instance instance = [&] {
-      if (!scenario.empty())
-        return default_scenario_registry().make(scenario, seed, overrides);
-      if (!overrides.empty())
+      if (!a.scenario.empty())
+        return default_scenario_registry().make(a.scenario, a.seed,
+                                                a.overrides);
+      if (!a.overrides.empty())
         throw std::invalid_argument(
             "bound: --set applies to generated scenarios only");
-      std::ifstream file(instance_path);
-      if (!file) throw std::runtime_error("cannot open " + instance_path);
+      std::ifstream file(a.instance_path);
+      if (!file) throw std::runtime_error("cannot open " + a.instance_path);
       return read_instance(file);
     }();
     const BoundOutcome outcome =
-        default_bound_registry().make(method, instance);
+        default_bound_registry().make(a.method, instance);
     std::cout << "instance   " << instance.name() << " (n="
               << instance.num_requests() << ", |S|="
               << instance.num_commodities() << ", |M|="
@@ -1253,14 +1290,14 @@ int cmd_bound(const std::vector<std::string>& args) {
               << "method     " << outcome.method << "\n"
               << "lower      " << outcome.lower << " (certified"
               << (outcome.exact ? ", exact" : "") << ")\n";
-    if (!save_cert_path.empty()) {
+    if (!a.save_cert_path.empty()) {
       // An exact bound certifies itself; the file then holds the dual
       // ascent's verified certificate, whose (lower) bound is printed.
       const BoundOutcome saved = certificate_outcome(instance, outcome);
-      AtomicFileWriter file(save_cert_path);
+      AtomicFileWriter file(a.save_cert_path);
       write_certificate(file.stream(), *saved.certificate);
       file.commit();
-      std::cout << "saved      " << save_cert_path;
+      std::cout << "saved      " << a.save_cert_path;
       if (!outcome.certificate)
         std::cout << " (" << saved.method << " certificate, lower "
                   << saved.lower << ")";
@@ -1268,53 +1305,53 @@ int cmd_bound(const std::vector<std::string>& args) {
     }
     double cost = 0.0;
     bool have_cost = false;
-    if (!algorithm.empty()) {
+    if (!a.algorithm.empty()) {
       auto algo = default_algorithm_registry().make(
-          algorithm, derive_algorithm_seed(seed));
+          a.algorithm, derive_algorithm_seed(a.seed));
       const SolutionLedger ledger = run_online(*algo, instance);
       if (const auto violation = verify_solution(instance, ledger))
         throw std::logic_error("invalid solution: " + violation->what);
       cost = ledger.total_cost();
       have_cost = true;
-      std::cout << "algorithm  " << algo->name() << " (seed " << seed
+      std::cout << "algorithm  " << algo->name() << " (seed " << a.seed
                 << ")\n"
                 << "cost       " << cost << "\n";
     }
     return bound_gates(cost, have_cost, outcome.lower,
                        instance.num_commodities(), instance.num_requests(),
-                       max_certified_ratio, assert_paper_bound);
+                       a.max_certified_ratio, a.assert_paper_bound);
   }
 
   // ---- event stream: windowed decomposition, bounded memory. The sum of
   // per-window bounds certifies the windowed re-optimizing adversary (see
   // src/bound/window.hpp), the baseline the algorithm's *gross* cost is
   // compared against.
-  if (!save_cert_path.empty())
+  if (!a.save_cert_path.empty())
     throw std::invalid_argument(
         "bound: --save-cert applies to static bounds (stream windows each "
         "carry their own certificate)");
-  if (method != "auto")
+  if (a.method != "auto")
     throw std::invalid_argument(
         "bound: --method applies to static bounds (streams always use "
         "the windowed dual ascent)");
   WindowBoundOptions wopt;
-  wopt.max_window_arrivals = window;
+  wopt.max_window_arrivals = a.window;
   StreamBoundResult bound_result;
   std::string name;
   std::size_t num_commodities = 0;
-  if (!trace_path.empty()) {
-    if (!overrides.empty())
+  if (!a.trace_path.empty()) {
+    if (!a.overrides.empty())
       throw std::invalid_argument(
           "bound: --set applies to generated scenarios only");
-    std::ifstream file(trace_path);
-    if (!file) throw std::runtime_error("cannot open " + trace_path);
+    std::ifstream file(a.trace_path);
+    if (!file) throw std::runtime_error("cannot open " + a.trace_path);
     StreamTraceReader reader(file);
     bound_result = bound_stream_windows(reader, wopt);
     name = reader.name();
     num_commodities = reader.cost()->num_commodities();
   } else {
     const EventStream stream = default_stream_scenario_registry().make(
-        stream_scenario, seed, overrides);
+        a.stream_scenario, a.seed, a.overrides);
     MaterializedEventSource source(stream);
     bound_result = bound_stream_windows(source, wopt);
     name = stream.name();
@@ -1330,56 +1367,60 @@ int cmd_bound(const std::vector<std::string>& args) {
                "adversary)\n";
   double cost = 0.0;
   bool have_cost = false;
-  if (!algorithm.empty()) {
+  if (!a.algorithm.empty()) {
     auto algo = default_algorithm_registry().make(
-        algorithm, derive_algorithm_seed(seed));
+        a.algorithm, derive_algorithm_seed(a.seed));
     StreamRunOptions run_options;
     run_options.verify = true;
     const StreamRunResult run = [&] {
-      if (!trace_path.empty()) {
-        std::ifstream file(trace_path);
-        if (!file) throw std::runtime_error("cannot open " + trace_path);
+      if (!a.trace_path.empty()) {
+        std::ifstream file(a.trace_path);
+        if (!file) throw std::runtime_error("cannot open " + a.trace_path);
         StreamTraceReader reader(file);
         return run_stream(*algo, reader, run_options);
       }
       const EventStream stream = default_stream_scenario_registry().make(
-          stream_scenario, seed, overrides);
+          a.stream_scenario, a.seed, a.overrides);
       return run_stream(*algo, stream, run_options);
     }();
     if (run.violation)
       throw std::logic_error("invalid stream run: " + run.violation->what);
     cost = run.ledger.total_cost();
     have_cost = true;
-    std::cout << "algorithm  " << algo->name() << " (seed " << seed << ")\n"
+    std::cout << "algorithm  " << algo->name() << " (seed " << a.seed << ")\n"
               << "gross      " << cost << "\n";
   }
   return bound_gates(cost, have_cost, bound_result.windowed_lower,
                      num_commodities,
                      static_cast<std::size_t>(bound_result.arrivals),
-                     max_certified_ratio, assert_paper_bound);
+                     a.max_certified_ratio, a.assert_paper_bound);
 }
 
 // ----------------------------------------------------------------- bench ---
 
-int cmd_bench(const std::vector<std::string>& args) {
+struct BenchArgs {
+  std::string out_path;
   bool quick = false;
   std::optional<std::uint64_t> trials;
   std::optional<std::uint64_t> warmup;
-  std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--quick") quick = true;
-    else if (args[i] == "--trials")
-      trials = parse_u64_arg(take_value(args, i), "--trials");
-    else if (args[i] == "--warmup")
-      warmup = parse_u64_arg(take_value(args, i), "--warmup");
-    else if (args[i] == "--out") out_path = take_value(args, i);
-    else throw std::invalid_argument("bench: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{value("--out", "FILE", "BENCH json path (default: "
+                   "BENCH_<suite>.json)", out_path),
+             toggle("--quick", "fewer warmup/timed trials (CI smoke)", quick,
+                    true),
+             value("--trials", "N", "override timed trials per case", trials),
+             value("--warmup", "N", "override warmup runs per case",
+                   warmup)}};
   }
+};
+
+int cmd_bench(const BenchArgs& a) {
   // --quick picks the base profile; explicit --trials/--warmup override
   // it regardless of argument order.
-  BenchOptions options = quick ? quick_bench_options() : BenchOptions{};
-  if (trials) options.trials = *trials;
-  if (warmup) options.warmup = *warmup;
+  BenchOptions options = a.quick ? quick_bench_options() : BenchOptions{};
+  if (a.trials) options.trials = *a.trials;
+  if (a.warmup) options.warmup = *a.warmup;
 
   const BenchSuite suite = default_bench_suite();
   std::cout << "suite " << suite.name() << ": " << suite.size()
@@ -1390,7 +1431,9 @@ int cmd_bench(const std::vector<std::string>& args) {
   std::cout << "\n";
   report.write_table(std::cout);
 
-  if (out_path.empty()) out_path = default_bench_filename(suite.name());
+  const std::string out_path = a.out_path.empty()
+                                   ? default_bench_filename(suite.name())
+                                   : a.out_path;
   AtomicFileWriter file(out_path);
   report.write_json(file.stream());
   file.commit();
@@ -1402,35 +1445,116 @@ int cmd_bench(const std::vector<std::string>& args) {
 
 // --------------------------------------------------------------- compare ---
 
-int cmd_compare(const std::vector<std::string>& args) {
+struct CompareArgs {
   std::vector<std::string> paths;
   CompareOptions options;
   bool report_only = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--threshold")
-      options.regression_threshold =
-          parse_double_arg(take_value(args, i), "--threshold");
-    else if (args[i] == "--report-only") report_only = true;
-    else if (args[i] == "--fail-on-missing") options.fail_on_missing = true;
-    else if (args[i] == "--counters-exact") options.counters_exact = true;
-    else if (!args[i].empty() && args[i][0] != '-') paths.push_back(args[i]);
-    else throw std::invalid_argument("compare: unknown option " + args[i]);
+
+  OptionTable table() {
+    return {{value("--threshold", "X", "regression gate on ns/op",
+                   options.regression_threshold),
+             toggle("--report-only", "never fail on wall time (CI trend "
+                    "reporting)", report_only, true),
+             toggle("--fail-on-missing", "treat baseline cases missing from "
+                    "NEW as regressions", options.fail_on_missing, true),
+             toggle("--counters-exact", "fail when a work counter both files "
+                    "carry differs", options.counters_exact, true)},
+            [this](const std::string& path) {
+              paths.push_back(path);
+              return true;
+            }};
   }
-  if (paths.size() != 2)
+};
+
+int cmd_compare(const CompareArgs& a) {
+  if (a.paths.size() != 2)
     throw std::invalid_argument(
         "compare: exactly two BENCH json files are required");
 
-  const BenchReport old_report = read_bench_report_file(paths[0]);
-  const BenchReport new_report = read_bench_report_file(paths[1]);
-  std::cout << "old: " << paths[0] << " (git " << old_report.git_sha
+  const BenchReport old_report = read_bench_report_file(a.paths[0]);
+  const BenchReport new_report = read_bench_report_file(a.paths[1]);
+  std::cout << "old: " << a.paths[0] << " (git " << old_report.git_sha
             << ", " << old_report.build_type << ")\n"
-            << "new: " << paths[1] << " (git " << new_report.git_sha
+            << "new: " << a.paths[1] << " (git " << new_report.git_sha
             << ", " << new_report.build_type << ")\n\n";
   const CompareReport comparison =
-      compare_reports(old_report, new_report, options);
+      compare_reports(old_report, new_report, a.options);
   comparison.write_table(std::cout);
-  const bool slower = comparison.any_regression() && !report_only;
+  const bool slower = comparison.any_regression() && !a.report_only;
   return slower || comparison.counters_failed() ? 1 : 0;
+}
+
+// ----------------------------------------------------------------- verbs ---
+
+struct Verb {
+  std::string name;
+  std::string operands;  // positional operands in the usage line
+  std::string summary;
+  std::function<void(std::ostream&)> write_options;
+  std::function<int(const std::vector<std::string>&)> run;
+};
+
+/// A verb whose flags are `Args::table()` and whose body is `body`.
+template <class Args>
+Verb verb(std::string name, std::string operands, std::string summary,
+          int (*body)(const Args&)) {
+  Verb v{name, std::move(operands), std::move(summary), nullptr, nullptr};
+  v.write_options = [](std::ostream& os) {
+    Args args;
+    write_options(os, args.table());
+  };
+  v.run = [name, body](const std::vector<std::string>& argv) {
+    Args args;
+    parse_options(name, args.table(), argv);
+    return body(args);
+  };
+  return v;
+}
+
+const std::vector<Verb>& verbs() {
+  static const std::vector<Verb> all = {
+      verb("list", "", "list scenarios, mixes and algorithms", cmd_list),
+      verb("run", "", "run one scenario under one algorithm", cmd_run),
+      verb("sweep", "", "run a (scenario x algorithm x seed) cross-product",
+           cmd_sweep),
+      verb("replay", "FILE", "re-run a saved instance trace", cmd_replay),
+      verb("stream", "", "process a dynamic event stream (arrivals + "
+           "deletions)", cmd_stream),
+      verb("bound", "", "certified lower bound on OPT (verified dual "
+           "certificates)", cmd_bound),
+      verb("serve", "", "drive the sharded multi-tenant stream engine",
+           cmd_serve),
+      verb("explain", "TRACELOG", "replay a decision trace and render the "
+           "causal chain", cmd_explain),
+      verb("bench", "", "run the perf suite, write BENCH json", cmd_bench),
+      verb("compare", "OLD NEW", "diff two BENCH json files", cmd_compare)};
+  return all;
+}
+
+/// The verb's summary line and its option rows.
+void write_verb(std::ostream& os, const Verb& v) {
+  write_row(os, "  " + v.name + (v.operands.empty() ? "" : " " + v.operands),
+            v.summary);
+  v.write_options(os);
+}
+
+int usage(std::ostream& os, int exit_code) {
+  os << "usage: omflp <command> [options]\n"
+        "\n"
+        "commands:\n";
+  for (const Verb& v : verbs()) write_verb(os, v);
+  os << "\n`omflp <command> --help` lists one command's options.\n";
+  return exit_code;
+}
+
+int verb_usage(const Verb& v) {
+  std::ostringstream rows;
+  v.write_options(rows);
+  std::cout << "usage: omflp " << v.name
+            << (v.operands.empty() ? "" : " " + v.operands)
+            << (rows.str().empty() ? "" : " [options]") << "\n\n";
+  write_verb(std::cout, v);
+  return 0;
 }
 
 }  // namespace
@@ -1443,19 +1567,13 @@ int main(int argc, char** argv) {
     const auto is_help = [](const std::string& arg) {
       return arg == "--help" || arg == "-h";
     };
-    if (command == "help" || is_help(command) ||
-        std::any_of(args.begin(), args.end(), is_help))
-      return usage(std::cout, 0);
-    if (command == "list") return cmd_list();
-    if (command == "run") return cmd_run(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "replay") return cmd_replay(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "explain") return cmd_explain(args);
-    if (command == "bound") return cmd_bound(args);
-    if (command == "bench") return cmd_bench(args);
-    if (command == "compare") return cmd_compare(args);
+    if (command == "help" || is_help(command)) return usage(std::cout, 0);
+    const auto found = std::find_if(
+        verbs().begin(), verbs().end(),
+        [&](const Verb& v) { return v.name == command; });
+    if (std::any_of(args.begin(), args.end(), is_help))
+      return found == verbs().end() ? usage(std::cout, 0) : verb_usage(*found);
+    if (found != verbs().end()) return found->run(args);
     std::cerr << "unknown command '" << command << "'\n";
     return usage(std::cerr, 2);
   } catch (const std::exception& error) {
