@@ -72,9 +72,7 @@ EngineResult ShardedEngine::run() const {
                                                   1, threads));
 
   StreamRunOptions run_options;
-  run_options.policy = options_.policy;
   run_options.batch_size = options_.batch_size;
-  run_options.compact = options_.compact;
   run_options.verify = options_.verify;
   run_options.overflow = options_.overflow;
 
@@ -126,18 +124,20 @@ EngineResult ShardedEngine::run() const {
       restored = std::move(loaded->manifest);
       payloads = std::move(loaded->payloads);
     }
-    if (restored) {
-      if (restored->tenants.size() != num_tenants)
-        throw std::invalid_argument(
-            "ShardedEngine: checkpoint set has " +
-            std::to_string(restored->tenants.size()) + " tenants, run has " +
-            std::to_string(num_tenants));
-      for (std::size_t i = 0; i < num_tenants; ++i)
-        if (restored->tenants[i] != specs_[i].name)
-          throw std::invalid_argument(
-              "ShardedEngine: checkpoint tenant '" + restored->tenants[i] +
-              "' does not match spec tenant '" + specs_[i].name + "'");
-    }
+    // The manifest pins every tenant's spec, and only a traced run's
+    // trace_seq can place a trace.
+    if (restored && restored->tenants != specs_)
+      throw std::invalid_argument(
+          "ShardedEngine: checkpoint generation " +
+          std::to_string(restored->generation) +
+          " was written for other tenants (names, scenarios, seeds, "
+          "algorithms or overrides differ)");
+    if (restored && options_.trace_sink != nullptr && !restored->traced)
+      throw std::invalid_argument(
+          "ShardedEngine: checkpoint generation " +
+          std::to_string(restored->generation) +
+          " was written by an untraced run; its trace_seq cannot "
+          "place this run's trace");
   }
 
   // Bytes of each tenant's newest checkpoint (restored or published):
@@ -256,8 +256,11 @@ EngineResult ShardedEngine::run() const {
   // A restored session may already be exhausted (checkpoint taken on the
   // final cadence round), so count live tenants rather than assuming all.
   std::size_t live = 0;
-  for (const auto& state : states)
+  std::uint64_t restored_events = 0;
+  for (const auto& state : states) {
     if (!state->session.exhausted()) ++live;
+    restored_events += state->session.events_processed();
+  }
   while (live > 0) {
     ++result.rounds;
     parallel_for(
@@ -308,17 +311,18 @@ EngineResult ShardedEngine::run() const {
     // no request is in flight. The tenants are serialized on the engine's
     // threads, each into its own payload slot (checkpoint() is const,
     // reads only its tenant, ticks no counter and emits no trace event);
-    // the calling thread then publishes them in tenant order, tenant
-    // files first and the manifest last. The generation number is the
-    // round, so restarts keep it increasing.
+    // the calling thread then flushes the trace sink (the manifest's
+    // trace_seq is the tracelog's commit point) and publishes them in
+    // tenant order, tenant files first and the manifest last. The
+    // generation number is the round, so restarts keep it increasing.
     if (store && options_.checkpoint_every > 0 &&
         result.rounds % options_.checkpoint_every == 0) {
       CheckpointManifest manifest;
       manifest.generation = result.rounds;
       manifest.round = result.rounds;
       manifest.trace_seq = trace_seq;
-      for (std::size_t i = 0; i < num_tenants; ++i)
-        manifest.tenants.push_back(specs_[i].name);
+      manifest.traced = options_.trace_sink != nullptr;
+      manifest.tenants = specs_;
       payloads.assign(num_tenants, {});
       parallel_for(
           num_tenants,
@@ -330,6 +334,7 @@ EngineResult ShardedEngine::run() const {
             payloads[i] = std::move(os).str();
           },
           threads);
+      if (options_.trace_sink != nullptr) options_.trace_sink->flush();
       store->publish(manifest, payloads);
       ++result.checkpoints_published;
       for (std::size_t i = 0; i < num_tenants; ++i)
@@ -369,7 +374,6 @@ EngineResult ShardedEngine::run() const {
     }
   }
   result.wall_ns = static_cast<double>(now_ns() - wall_start_ns);
-  result.trace_seq = trace_seq;
   for (const std::uint64_t bytes : checkpoint_bytes)
     result.checkpoint_bytes += bytes;
 
@@ -390,6 +394,7 @@ EngineResult ShardedEngine::run() const {
         tenant.run.ledger.num_spilled_assignments();
     result.tenants.push_back(std::move(tenant));
   }
+  result.stepped_events = result.total_events - restored_events;
   return result;
 }
 

@@ -64,9 +64,6 @@ struct EngineOptions {
   std::size_t batch_size = 2048;
   /// Shadow every tenant with an incremental StreamVerifier.
   bool verify = true;
-  /// Compact retired ledger prefixes after each batch.
-  bool compact = true;
-  ConnectionChargePolicy policy = ConnectionChargePolicy::kPerFacility;
   /// Uniform per-point facility capacity applied to every tenant; 0 =
   /// off, keeping whatever capacities each tenant's scenario attached to
   /// its stream (if any). Nonzero builds a per-tenant map assigning this
@@ -84,7 +81,9 @@ struct EngineOptions {
   /// into a private TraceBuffer while being stepped; after every round
   /// the buffers are drained into this sink in tenant order on the
   /// calling thread — so the trace is bitwise independent of both the
-  /// shard count and OMFLP_THREADS.
+  /// shard count and OMFLP_THREADS. It is flushed before each checkpoint
+  /// publication; a restored run emits from the generation's trace_seq
+  /// on (tracelog_resume_offset positions a file sink there).
   TraceSink* trace_sink = nullptr;
   /// Checkpoint directory (recover/checkpoint_store.hpp). When set,
   /// run() first restores every tenant from the newest valid generation
@@ -125,7 +124,10 @@ struct EngineResult {
   /// Global-clock rounds driven (== max over tenants of ceil(events /
   /// batch) + 1 exhaustion probe).
   std::uint64_t rounds = 0;
+  /// Events of the whole logical run, restored ones included.
   std::uint64_t total_events = 0;
+  /// Events stepped by this run() call (none restored from a checkpoint).
+  std::uint64_t stepped_events = 0;
   /// Wall time of the round loop (sessions built before, finished after).
   double wall_ns = 0.0;
   /// Sum over tenants, in tenant order (bitwise deterministic).
@@ -150,10 +152,6 @@ struct EngineResult {
   std::uint64_t restored_from_round = 0;
   /// Checkpoint generations published by this run() call.
   std::uint64_t checkpoints_published = 0;
-  /// Trace events emitted to the sink over the whole logical run,
-  /// including rounds replayed before a restore point (the manifest's
-  /// trace_seq carries the count across restarts).
-  std::uint64_t trace_seq = 0;
   /// Bytes of every tenant's newest checkpoint file (the generation
   /// restored or last published; manifest excluded), 0 without a
   /// checkpoint directory. Divided by the active requests it gives the
@@ -162,7 +160,7 @@ struct EngineResult {
 
   double events_per_sec() const noexcept {
     return wall_ns > 0.0
-               ? static_cast<double>(total_events) * 1e9 / wall_ns
+               ? static_cast<double>(stepped_events) * 1e9 / wall_ns
                : 0.0;
   }
   /// First tenant (in spec order) whose verifier reported a violation;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -12,6 +13,7 @@
 #include <string_view>
 
 #include "instance/io_detail.hpp"
+#include "support/atomic_file.hpp"
 #include "support/parse.hpp"
 
 namespace omflp {
@@ -425,8 +427,9 @@ TraceEvent parse_event_line(const std::string& line,
 
 // --------------------------------------------------------------- writer ---
 
-TraceLogWriter::TraceLogWriter(std::ostream& os) : os_(os) {
-  os_ << kHeader << '\n';
+TraceLogWriter::TraceLogWriter(std::ostream& os, std::uint64_t first_seq)
+    : os_(os), seq_(first_seq) {
+  if (first_seq == 0) os_ << kHeader << '\n';
 }
 
 TraceLogWriter::~TraceLogWriter() {
@@ -453,6 +456,11 @@ void TraceLogWriter::flush_buffer() {
   buffer_.clear();
 }
 
+void TraceLogWriter::flush() {
+  flush_buffer();
+  os_.flush();
+}
+
 void TraceLogWriter::finish() {
   if (finished_) return;
   finished_ = true;
@@ -461,8 +469,7 @@ void TraceLogWriter::finish() {
   line.u64(seq_);
   line.text("}\n");
   buffer_ += line.view();
-  flush_buffer();
-  os_.flush();
+  flush();
 }
 
 // --------------------------------------------------------------- reader ---
@@ -539,6 +546,29 @@ bool TraceLogReader::next(TraceEvent& out) {
     impl_->done = true;
     return false;
   }
+}
+
+std::uint64_t tracelog_resume_offset(const std::string& path,
+                                     std::uint64_t events) {
+  if (events == 0) return 0;
+  const std::string staging = atomic_temp_path(path);
+  std::ifstream is(staging, std::ios::binary);  // a missing file reads empty
+  try {
+    TraceLogReader reader(is);
+    TraceEvent event;
+    while (reader.events_read() < events && reader.next(event)) {
+    }
+    // tellg() fails when the last line read has no newline: a torn write.
+    const std::streamoff end = is.tellg();
+    if (reader.events_read() == events && end >= 0)
+      return static_cast<std::uint64_t>(end);
+  } catch (const std::invalid_argument&) {
+    // A damaged line (or a missing header) ends the valid prefix.
+  }
+  throw std::runtime_error("tracelog " + path + " cannot resume at event " +
+                           std::to_string(events) + ": its staging file " +
+                           staging + " is missing or holds fewer than " +
+                           std::to_string(events) + " valid events");
 }
 
 // --------------------------------------------------- convenience layer ---

@@ -17,7 +17,7 @@
 // golden-trace differential artifacts (the CI trace-smoke job diffs
 // OMFLP_THREADS=1 vs 4 outputs). The writer buffers and publishes whole
 // lines: each event is appended to an in-memory buffer that is handed to
-// the ostream every ~64 KiB and at finish().
+// the ostream every ~64 KiB, at flush() and at finish().
 //
 // The reader is strict in the spirit of support/parse.hpp: unknown kinds,
 // out-of-order fields, non-finite numbers, seq gaps, a missing end line
@@ -39,27 +39,32 @@
 namespace omflp {
 
 /// A TraceSink that writes events to `os` in OMFLP-TRACELOG v1. The
-/// header is written on construction; event lines collect in a buffer
-/// that reaches `os` in whole lines every kFlushBytes and at finish().
-/// Call finish() (or let the destructor do it) to append the end line.
-/// An event that cannot be written (a non-finite number, an oversized
-/// contributor list) throws std::invalid_argument and leaves neither a
-/// partial line nor an advanced events_written(). The ostream must
-/// outlive the writer.
+/// header is written on construction, unless `first_seq` > 0: then `os`
+/// already holds the header and events 0 .. first_seq-1 (see
+/// tracelog_resume_offset) and the writer continues the log. Event lines
+/// collect in a buffer that reaches `os` in whole lines every
+/// kFlushBytes, at flush() and at finish(). Call finish() (or let the
+/// destructor do it) to append the end line. An event that cannot be
+/// written (a non-finite number, an oversized contributor list) throws
+/// std::invalid_argument and leaves neither a partial line nor an
+/// advanced events_written(). The ostream must outlive the writer.
 class TraceLogWriter final : public TraceSink {
  public:
-  explicit TraceLogWriter(std::ostream& os);
+  explicit TraceLogWriter(std::ostream& os, std::uint64_t first_seq = 0);
   ~TraceLogWriter() override;
 
   TraceLogWriter(const TraceLogWriter&) = delete;
   TraceLogWriter& operator=(const TraceLogWriter&) = delete;
 
   void on_event(const TraceEvent& event) override;
+  /// Hand the buffered lines to the ostream and flush it.
+  void flush() override;
 
   /// Write the end line and flush. Idempotent; further on_event calls
   /// throw std::logic_error.
   void finish();
 
+  /// The log's event count, first_seq included.
   std::uint64_t events_written() const noexcept { return seq_; }
 
   /// Buffer size at which on_event hands the buffer to the ostream.
@@ -117,6 +122,15 @@ class TraceLogReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Where a writer resuming the tracelog published at `path` continues:
+/// the byte length of the header and the first `events` event lines of
+/// its staging file `<path>.tmp` (support/atomic_file.hpp), each checked
+/// by the strict reader; 0 when `events` is 0. Throws std::runtime_error
+/// naming `path` and `events` when the staging file is missing or holds
+/// fewer than `events` valid, newline-terminated event lines.
+std::uint64_t tracelog_resume_offset(const std::string& path,
+                                     std::uint64_t events);
 
 /// Materializing convenience wrappers (tests, `omflp explain`).
 std::vector<TraceEvent> read_tracelog(

@@ -73,12 +73,12 @@ struct TraceContributor {
 /// subset of the fields (the tracelog writer serializes a fixed per-kind
 /// field list — see src/instance/tracelog_io.hpp for the schema).
 ///
-/// Compact by design too: the engine, `omflp serve --fault-plan` and
-/// `explain` keep whole traces in memory (about six events per lease-heavy
-/// arrival), so the scalars are ordered widest first to leave no padding
-/// and the contributor list and note sit behind one pointer that is null
-/// on every event that carries neither. Copies deep-copy the detail;
-/// moves take it and leave the source without one.
+/// Compact by design too: the engine and `explain` keep traces in memory
+/// (about six events per lease-heavy arrival), so the scalars are ordered
+/// widest first to leave no padding and the contributor list and note
+/// sit behind one pointer that is null on every event that carries
+/// neither. Copies deep-copy the detail; moves take it and leave the
+/// source without one.
 struct TraceEvent {
   /// The request being served/retired when the event fired (the ordinal
   /// the ledger assigned at arrival). kInvalidRequest when n/a.
@@ -185,8 +185,7 @@ struct TraceEvent {
 };
 
 static_assert(sizeof(TraceEvent) <= 80,
-              "TraceEvent is buffered whole-trace in memory; keep it "
-              "compact");
+              "TraceEvent is buffered in memory; keep it compact");
 
 inline constexpr std::size_t kMaxTraceContributors = 16;
 
@@ -216,6 +215,9 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_event(const TraceEvent& event) = 0;
+  /// Make every event received so far durable; the engine calls it
+  /// before publishing a checkpoint generation.
+  virtual void flush() {}
 };
 
 /// The simplest sink: append every event to a vector (tests, the engine's
@@ -262,24 +264,6 @@ inline void emit(const TraceEvent& event) {
 }
 
 }  // namespace obs
-
-/// RAII mute: uninstalls any trace sink for the current scope. Used by
-/// PerCommodityAdapter, whose sub-algorithms run against private
-/// sub-ledgers — their facility/request ids would pollute a trace that
-/// speaks real-ledger ids, so the adapter re-emits with translated ids.
-class TraceSuppressScope {
- public:
-  TraceSuppressScope() noexcept : previous_(obs::tl_trace_sink) {
-    obs::tl_trace_sink = nullptr;
-  }
-  ~TraceSuppressScope() { obs::tl_trace_sink = previous_; }
-
-  TraceSuppressScope(const TraceSuppressScope&) = delete;
-  TraceSuppressScope& operator=(const TraceSuppressScope&) = delete;
-
- private:
-  TraceSink* previous_;
-};
 
 /// RAII installer mirroring PerfScope: makes `sink` the current thread's
 /// trace sink and restores the previous one on destruction.

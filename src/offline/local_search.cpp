@@ -104,6 +104,9 @@ void LocalSearchState::rebuild() {
 
 namespace {
 
+/// Cap on improving moves: each round applies the single best add or drop.
+constexpr std::size_t kLocalSearchRounds = 50;
+
 std::vector<PlacedFacility> initial_solution(const Instance& instance) {
   // One facility per distinct request location holding the union of
   // demands seen there — feasible and a natural starting point. A
@@ -123,12 +126,11 @@ std::vector<PlacedFacility> initial_solution(const Instance& instance) {
 
 }  // namespace
 
-OfflineSolution solve_local_search(const CandidatePool& pool,
-                                   const LocalSearchOptions& options) {
+OfflineSolution solve_local_search(const CandidatePool& pool) {
   LocalSearchState state(pool);
   state.set_facilities(initial_solution(pool.instance()));
 
-  for (std::size_t round = 0; round < options.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kLocalSearchRounds; ++round) {
     double best_delta = -1e-9;  // strict improvement only
     enum class Kind { kNone, kAdd, kDrop } kind = Kind::kNone;
     PlacedFacility best_add;
@@ -182,11 +184,10 @@ OfflineSolution solve_local_search(const CandidatePool& pool,
   return solution;
 }
 
-OfflineSolution solve_local_search(const Instance& instance,
-                                   const LocalSearchOptions& options) {
+OfflineSolution solve_local_search(const Instance& instance) {
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_local_search: empty instance");
-  return solve_local_search(CandidatePool(instance), options);
+  return solve_local_search(CandidatePool(instance));
 }
 
 }  // namespace omflp

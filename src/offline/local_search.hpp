@@ -82,15 +82,10 @@ class LocalSearchState {
   double connection_ = 0.0;
 };
 
-struct LocalSearchOptions {
-  std::size_t max_rounds = 50;
-};
-
-OfflineSolution solve_local_search(const CandidatePool& pool,
-                                   const LocalSearchOptions& options = {});
+/// Best-improvement add/drop moves over `pool`, at most 50 of them.
+OfflineSolution solve_local_search(const CandidatePool& pool);
 
 /// Builds the default candidate pool and searches over it.
-OfflineSolution solve_local_search(const Instance& instance,
-                                   const LocalSearchOptions& options = {});
+OfflineSolution solve_local_search(const Instance& instance);
 
 }  // namespace omflp

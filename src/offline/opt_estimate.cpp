@@ -23,8 +23,8 @@ bool all_requests_at_one_point(const Instance& instance) {
   return true;
 }
 
-bool fits_exact_limits(const Instance& instance,
-                       const ExactSolverLimits& limits) {
+bool fits_exact_limits(const Instance& instance) {
+  const ExactSolverLimits limits;
   return instance.metric().num_points() <= limits.max_points &&
          instance.demanded_union().count() <= limits.max_union &&
          instance.num_requests() <= limits.max_requests;
@@ -64,10 +64,8 @@ void attach_lower(const Instance& instance, const OptEstimateOptions& options,
     return;
   }
   if (!options.compute_lower) return;
-  WindowBoundOptions wopt;
-  wopt.max_window_arrivals = options.lower_chunk_arrivals;
   try {
-    const ChunkedBound chunked = bound_instance_chunked(instance, wopt);
+    const ChunkedBound chunked = bound_instance_chunked(instance);
     est.lower = chunked.lower;
     est.lower_certified = true;
     est.lower_method =
@@ -115,9 +113,8 @@ OptEstimate estimate_opt(const Instance& instance,
     }
   }
 
-  if (fits_exact_limits(instance, options.exact_limits)) {
-    const OfflineSolution sol =
-        solve_exact_small(instance, options.exact_limits);
+  if (fits_exact_limits(instance)) {
+    const OfflineSolution sol = solve_exact_small(instance);
     est = OptEstimate{sol.cost, sol.exact, sol.method};
     attach_lower(instance, options, est);
     return est;
@@ -131,13 +128,11 @@ OptEstimate estimate_opt(const Instance& instance,
   best.cost = kInfiniteDistance;
   if (options.allow_local_search) {
     const CandidatePool pool(instance);
-    const OfflineSolution sol = solve_local_search(pool, options.local_search);
+    const OfflineSolution sol = solve_local_search(pool);
     best = OptEstimate{sol.cost, sol.exact, sol.method};
-    if (options.use_greedy_star) {
-      const OfflineSolution greedy = solve_greedy_star(pool);
-      if (greedy.cost < best.cost)
-        best = OptEstimate{greedy.cost, greedy.exact, greedy.method};
-    }
+    const OfflineSolution greedy = solve_greedy_star(pool);
+    if (greedy.cost < best.cost)
+      best = OptEstimate{greedy.cost, greedy.exact, greedy.method};
   }
   if (cert && cert->upper_bound < best.cost)
     best = OptEstimate{cert->upper_bound, false, "certificate(upper-bound)"};

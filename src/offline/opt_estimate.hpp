@@ -42,19 +42,13 @@ struct OptEstimate {
 };
 
 struct OptEstimateOptions {
-  ExactSolverLimits exact_limits;
-  LocalSearchOptions local_search;
   /// Skip the (possibly slow) heuristic solvers and rely on certificates /
   /// exact solvers only; throws if neither applies.
   bool allow_local_search = true;
-  /// Also run the greedy-star solver and keep the better bound.
-  bool use_greedy_star = true;
   /// Attach a certified lower bound (see OptEstimate::lower). Off by
   /// default: the dual ascent costs more than the heuristics it brackets,
   /// so only ratio-reporting paths opt in.
   bool compute_lower = false;
-  /// Requests per chunk when the instance is too large to bound whole.
-  std::size_t lower_chunk_arrivals = 4096;
 };
 
 OptEstimate estimate_opt(const Instance& instance,

@@ -39,9 +39,14 @@ std::string manifest_payload(const CheckpointManifest& manifest) {
       .u(manifest.generation)
       .u(manifest.round)
       .u(manifest.trace_seq)
+      .b(manifest.traced)
       .u(manifest.tenants.size());
-  for (const std::string& name : manifest.tenants)
-    writer.line("tenant").bytes(name);
+  for (const TenantSpec& spec : manifest.tenants) {
+    writer.line("tenant").bytes(spec.name).bytes(spec.scenario).u(spec.seed);
+    writer.bytes(spec.algorithm).u(spec.overrides.size());
+    for (const auto& [key, value] : spec.overrides)
+      writer.bytes(key).d(value);
+  }
   writer.finish();
   return os.str();
 }
@@ -56,11 +61,21 @@ std::optional<CheckpointManifest> parse_manifest(const std::string& path) {
     manifest.generation = reader.u();
     manifest.round = reader.u();
     manifest.trace_seq = reader.u();
+    manifest.traced = reader.b();
     const std::uint64_t num_tenants = reader.u();
     manifest.tenants.reserve(capped_reserve(num_tenants));
     for (std::uint64_t i = 0; i < num_tenants; ++i) {
       reader.expect("tenant");
-      manifest.tenants.push_back(reader.bytes());
+      TenantSpec& spec = manifest.tenants.emplace_back();
+      spec.name = reader.bytes();
+      spec.scenario = reader.bytes();
+      spec.seed = reader.u();
+      spec.algorithm = reader.bytes();
+      const std::uint64_t num_overrides = reader.u();
+      for (std::uint64_t k = 0; k < num_overrides; ++k) {
+        std::string key = reader.bytes();
+        spec.overrides[std::move(key)] = reader.d();
+      }
     }
     reader.finish();
     return manifest;

@@ -5,7 +5,7 @@
 // ShardedEngine run: one OMFLP-CKPT file per tenant
 // (`t<i>.g<N>.ckpt`, index-based so arbitrary tenant names never meet
 // the filesystem) plus a manifest (`MANIFEST.g<N>.ckpt`, same format)
-// pinning the round, the trace sequence number and the tenant list.
+// pinning the round, the trace sequence number and every tenant's spec.
 //
 // Publication order is the crash-safety argument: every tenant file is
 // written atomically (tmp + rename, support/atomic_file.hpp) *before*
@@ -26,18 +26,22 @@
 #include <string>
 #include <vector>
 
+#include "scenario/stream_registry.hpp"
+
 namespace omflp {
 
 struct CheckpointManifest {
   std::uint64_t generation = 0;
   /// Engine round the snapshot was taken after.
   std::uint64_t round = 0;
-  /// Trace events emitted to the sink before the snapshot — the replay
-  /// boundary a resumed run's tracelog is truncated to.
+  /// Trace events emitted (and flushed) before the snapshot: the
+  /// tracelog's commit point, where a resumed run's tracelog continues.
   std::uint64_t trace_seq = 0;
-  /// Tenant names in spec order (a guard: a checkpoint set only
-  /// restores into the same tenant roster).
-  std::vector<std::string> tenants;
+  /// Whether the run was traced; if not, trace_seq counts nothing.
+  bool traced = false;
+  /// Tenant specs in order (a guard: a checkpoint set only restores into
+  /// the same tenants).
+  std::vector<TenantSpec> tenants;
 };
 
 /// One generation as restore needs it: the manifest and every tenant

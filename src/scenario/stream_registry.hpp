@@ -85,6 +85,8 @@ struct TenantSpec {
   std::map<std::string, double> overrides;
   std::uint64_t seed = 1;
   std::string algorithm = "pd";  // AlgorithmRegistry name
+
+  bool operator==(const TenantSpec&) const = default;
 };
 
 /// One weighted entry of a workload mix. `size_param` is the scenario

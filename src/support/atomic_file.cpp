@@ -1,6 +1,7 @@
 #include "support/atomic_file.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 
 namespace omflp {
@@ -15,16 +16,22 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   writer.commit();
 }
 
-AtomicFileWriter::AtomicFileWriter(std::string path)
-    : path_(std::move(path)), temp_path_(atomic_temp_path(path_)) {
-  file_.open(temp_path_, std::ios::binary | std::ios::trunc);
+AtomicFileWriter::AtomicFileWriter(std::string path,
+                                   std::optional<std::uint64_t> resume_at)
+    : path_(std::move(path)),
+      temp_path_(atomic_temp_path(path_)),
+      resumable_(resume_at.has_value()) {
+  const std::uint64_t keep = resume_at.value_or(0);
+  if (keep > 0) std::filesystem::resize_file(temp_path_, keep);
+  file_.open(temp_path_, std::ios::binary |
+                             (keep > 0 ? std::ios::app : std::ios::trunc));
   if (!file_)
     throw std::runtime_error("atomic write: cannot open " + temp_path_ +
                              " for writing");
 }
 
 AtomicFileWriter::~AtomicFileWriter() {
-  if (!committed_) {
+  if (!committed_ && !resumable_) {
     file_.close();
     std::remove(temp_path_.c_str());
   }

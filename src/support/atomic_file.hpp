@@ -16,7 +16,9 @@
 // publication is single-threaded by design.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 
 namespace omflp {
@@ -35,7 +37,12 @@ void write_file_atomic(const std::string& path, const std::string& content);
 /// file (abandon semantics).
 class AtomicFileWriter {
  public:
-  explicit AtomicFileWriter(std::string path);
+  /// With `resume_at`, the writer continues a temp file an earlier one
+  /// left: it keeps its first *resume_at bytes (0 = none) and appends,
+  /// and destruction without commit() keeps the temp file for the next
+  /// resume (the `omflp serve` tracelog, which must outlive a crash).
+  explicit AtomicFileWriter(
+      std::string path, std::optional<std::uint64_t> resume_at = {});
   ~AtomicFileWriter();
 
   AtomicFileWriter(const AtomicFileWriter&) = delete;
@@ -56,6 +63,7 @@ class AtomicFileWriter {
   std::string temp_path_;
   std::ofstream file_;
   bool committed_ = false;
+  bool resumable_ = false;
 };
 
 }  // namespace omflp

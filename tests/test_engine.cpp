@@ -30,9 +30,7 @@ StreamRunResult sequential_reference(const TenantSpec& spec,
   auto algorithm = default_algorithm_registry().make(
       spec.algorithm, derive_algorithm_seed(spec.seed));
   StreamRunOptions run_options;
-  run_options.policy = options.policy;
   run_options.batch_size = options.batch_size;
-  run_options.compact = options.compact;
   run_options.verify = options.verify;
   return run_stream(*algorithm, stream, run_options);
 }
@@ -336,6 +334,7 @@ TEST(ShardedEngine, AggregatesAndStatsAreConsistent) {
   }
   const EngineResult& result = *counted;
   EXPECT_EQ(result.total_events, engine.total_events());
+  EXPECT_EQ(result.stepped_events, result.total_events);
   EXPECT_GT(result.rounds, 1u);
   EXPECT_GT(result.wall_ns, 0.0);
   EXPECT_GT(result.events_per_sec(), 0.0);

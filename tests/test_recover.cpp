@@ -595,7 +595,7 @@ TEST(CheckpointStore, FallsBackPastCorruptTornAndUncommittedGenerations) {
   g1.generation = 1;
   g1.round = 1;
   g1.trace_seq = 10;
-  g1.tenants = {"a", "b"};
+  g1.tenants = default_workload_mix_registry().tenants("mixed", 2, 5, 0.5);
   store.publish(g1, {tiny_payload(1), tiny_payload(2)});
   CheckpointManifest g2 = g1;
   g2.generation = 2;
@@ -608,7 +608,9 @@ TEST(CheckpointStore, FallsBackPastCorruptTornAndUncommittedGenerations) {
   EXPECT_EQ(latest->generation, 2u);
   EXPECT_EQ(latest->round, 2u);
   EXPECT_EQ(latest->trace_seq, 20u);
-  EXPECT_EQ(latest->tenants, (std::vector<std::string>{"a", "b"}));
+  // The specs round-trip exactly: names, scenarios, seeds, algorithms
+  // and every override's bits.
+  EXPECT_TRUE(latest->tenants == g1.tenants);
 
   // Tenant files without a manifest are not a generation: the manifest
   // is the commit point.
@@ -639,7 +641,7 @@ TEST(CheckpointStore, PrunesToTwoGenerations) {
     CheckpointManifest manifest;
     manifest.generation = g;
     manifest.round = g;
-    manifest.tenants = {"only"};
+    manifest.tenants = {TenantSpec{.name = "only"}};
     store.publish(manifest, {tiny_payload(g)});
   }
   EXPECT_EQ(store.list_generations(),
@@ -925,13 +927,31 @@ TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {
   options.fault_plan = &plan;
   EXPECT_THROW(ShardedEngine(specs, options).run(), EngineCrash);
 
-  // A different tenant roster must not restore from this checkpoint set.
-  std::vector<TenantSpec> renamed = specs;
-  renamed[1].name = "impostor";
+  // A different tenant roster must not restore from this checkpoint set:
+  // the manifest pins each tenant's name, scenario, seed and overrides.
   EngineOptions restore = options;
   restore.fault_plan = nullptr;
+  std::vector<TenantSpec> renamed = specs;
+  renamed[1].name = "impostor";
   EXPECT_THROW(ShardedEngine(renamed, restore).run(),
                std::invalid_argument);
+  std::vector<TenantSpec> reseeded = specs;
+  reseeded[2].seed += 1;
+  EXPECT_THROW(ShardedEngine(reseeded, restore).run(),
+               std::invalid_argument);
+  std::vector<TenantSpec> resized = specs;  // another --scale
+  resized[0].overrides.at("events") += 1.0;
+  EXPECT_THROW(ShardedEngine(resized, restore).run(),
+               std::invalid_argument);
+  // A traced run cannot continue an untraced checkpoint set: its
+  // trace_seq counts none of the decisions made before the snapshot.
+  TraceBuffer trace;
+  EngineOptions traced = restore;
+  traced.trace_sink = &trace;
+  EXPECT_THROW(ShardedEngine(specs, traced).run(), std::invalid_argument);
+  EXPECT_TRUE(trace.events().empty());
+  // The untouched roster still restores.
+  EXPECT_GT(ShardedEngine(specs, restore).run().restored_from_round, 0u);
 
   // Placement validation is independent of recovery.
   EngineOptions bad_placement = restore;
@@ -952,60 +972,240 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
+/// The staging file of the tracelog published at `path`, kept up to the
+/// newest valid generation's trace_seq in `checkpoint_dir`, and a writer
+/// continuing it there: the start path `omflp serve --trace-out` takes
+/// before every engine start.
+struct ResumedTrace {
+  ResumedTrace(const std::string& path, const std::string& checkpoint_dir)
+      : ResumedTrace(path, committed_seq(checkpoint_dir)) {}
+  ResumedTrace(const std::string& path, std::uint64_t committed)
+      : file(path, tracelog_resume_offset(path, committed)),
+        writer(file.stream(), committed) {}
+
+  static std::uint64_t committed_seq(const std::string& checkpoint_dir) {
+    const auto manifest = CheckpointStore(checkpoint_dir).latest_valid();
+    return manifest ? manifest->trace_seq : 0;
+  }
+
+  void publish() {
+    writer.finish();
+    file.commit();
+  }
+
+  AtomicFileWriter file;
+  TraceLogWriter writer;
+};
+
+/// The lease-heavy PD shape of the golden trace: capacity 6 with reject,
+/// so contributor lists, shed requests and rollbacks all reach the log.
+std::vector<TenantSpec> lease_heavy_tenants() {
+  return default_workload_mix_registry().tenants("lease-heavy", 4, 1, 0.5);
+}
+
+EngineOptions lease_heavy_options() {
+  EngineOptions options;
+  options.batch_size = 512;
+  options.capacity = 6;
+  options.overflow = OverflowPolicy::kReject;
+  return options;
+}
+
 // A golden decision trace: the tracelog of a small crash-injected PD
 // serve (lease-heavy tenants, capacity 6 with reject) is pinned by its
 // FNV-1a 64 digest, recorded before TraceEvent moved its contributors
 // and note behind a pointer. The CI cmp steps compare two runs of one
 // build; this digest also catches a change that moves both runs alike
 // (a field narrowed, dropped or reordered on the way to the log). The
-// run mirrors `omflp serve --fault-plan`: the trace is buffered in
-// memory and rewound to the restored manifest's trace_seq per crash.
+// run mirrors `omflp serve --fault-plan --trace-out`: events stream to
+// the staging file, and every start resumes it at the newest valid
+// manifest's trace_seq.
 TEST(EngineRecovery, FaultPlanTracelogMatchesGoldenDigest) {
-  std::vector<TenantSpec> specs =
-      default_workload_mix_registry().tenants("lease-heavy", 4, 1, 0.5);
+  const std::vector<TenantSpec> specs = lease_heavy_tenants();
   ScratchDir dir("golden-trace");
-  EngineOptions options;
-  options.batch_size = 512;
-  options.capacity = 6;
-  options.overflow = OverflowPolicy::kReject;
+  ScratchDir out("golden-trace-out");
+  const std::string path = out.str() + "/golden.tracelog";
+  EngineOptions options = lease_heavy_options();
   options.checkpoint_dir = dir.str();
   options.checkpoint_every = 2;
-  FaultPlan plan = FaultPlan::parse("crashes=1,seed=3,gap=4");
+  // One crash after round 3: the restart resumes the log at round 2's
+  // trace_seq and replays round 3.
+  FaultPlan plan = FaultPlan::parse("crashes=1,seed=7,gap=8");
   options.fault_plan = &plan;
-  TraceBuffer trace;
-  options.trace_sink = &trace;
 
   std::uint64_t restarts = 0;
+  std::uint64_t resumed_at = 0;
   for (;;) {
+    ResumedTrace trace(path, options.checkpoint_dir);
+    resumed_at = trace.writer.events_written();
+    options.trace_sink = &trace.writer;
     try {
       ShardedEngine(specs, options).run();
+      trace.publish();
       break;
     } catch (const EngineCrash&) {
       ++restarts;
-      const auto manifest = CheckpointStore(options.checkpoint_dir)
-                                .latest_valid();
-      const std::uint64_t keep = manifest ? manifest->trace_seq : 0;
-      if (trace.events().size() > keep) trace.events().resize(keep);
     }
   }
   ASSERT_EQ(restarts, 1u);
+  EXPECT_GT(resumed_at, 0u);
+  EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(path)));
 
-  std::ostringstream os;
-  TraceLogWriter writer(os);
+  const std::string log = slurp(path);
   std::size_t opens_with_contributors = 0;
-  for (const TraceEvent& event : trace.events()) {
-    writer.on_event(event);
+  for (const TraceEvent& event : tracelog_from_string(log))
     if (event.kind == TraceEventKind::kFacilityOpen &&
         !event.contributors().empty())
       ++opens_with_contributors;
-  }
-  writer.finish();
-  const std::string log = os.str();
   // The workload exercises contributor lists, not only scalar events.
   EXPECT_GT(opens_with_contributors, 0u);
-  EXPECT_EQ(writer.events_written(), 26034u);
+  EXPECT_EQ(tracelog_from_string(log).size(), 26034u);
   EXPECT_EQ(log.size(), 2469060u);
   EXPECT_EQ(fnv1a64(log), 0xdb245cae31aa7f7dULL);
+}
+
+/// Crash the lease-heavy run after round 3, with checkpoints every two
+/// rounds and the tracelog streaming to `path`'s staging file; every
+/// engine, writer and plan is gone when this returns, as after a killed
+/// process.
+void crash_once(const std::string& path, const std::string& checkpoint_dir) {
+  EngineOptions options = lease_heavy_options();
+  options.checkpoint_dir = checkpoint_dir;
+  options.checkpoint_every = 2;
+  FaultPlan plan = FaultPlan::parse("crashes=1,seed=7,gap=8");
+  ASSERT_EQ(plan.crash_rounds().at(0), 3u);
+  options.fault_plan = &plan;
+  ResumedTrace trace(path, options.checkpoint_dir);
+  options.trace_sink = &trace.writer;
+  EXPECT_THROW(ShardedEngine(lease_heavy_tenants(), options).run(),
+               EngineCrash);
+}
+
+// A real restart: the crashed run's objects are all dropped, a torn line
+// lands past the commit point (a kill mid-write), and a "new process"
+// reopens the staging file from disk, restores and drains. The published
+// log must be byte-identical to an uninterrupted run's.
+TEST(EngineRecovery, RestartInNewProcessContinuesTracelogBitwise) {
+  ScratchDir out("restart-trace");
+  const std::string clean_path = out.str() + "/clean.tracelog";
+  const std::string path = out.str() + "/restart.tracelog";
+  {
+    ResumedTrace trace(clean_path, 0);
+    EngineOptions options = lease_heavy_options();
+    options.trace_sink = &trace.writer;
+    ShardedEngine(lease_heavy_tenants(), options).run();
+    trace.publish();
+  }
+
+  ScratchDir dir("restart-ckpt");
+  crash_once(path, dir.str());
+  const std::string staging = atomic_temp_path(path);
+  ASSERT_TRUE(std::filesystem::exists(staging));
+  const std::uint64_t committed = ResumedTrace::committed_seq(dir.str());
+  ASSERT_GT(committed, 0u);
+  {
+    std::ofstream torn(staging, std::ios::binary | std::ios::app);
+    torn << "{\"seq\":99999999,\"kind\":\"fac";
+  }
+
+  ResumedTrace trace(path, dir.str());
+  EXPECT_EQ(trace.writer.events_written(), committed);
+  EngineOptions options = lease_heavy_options();
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 2;
+  options.trace_sink = &trace.writer;
+  const EngineResult result =
+      ShardedEngine(lease_heavy_tenants(), options).run();
+  EXPECT_EQ(result.restored_from_round, 2u);
+  trace.publish();
+  EXPECT_EQ(slurp(path), slurp(clean_path));
+}
+
+// Resuming needs the committed prefix: a missing staging file, or one
+// holding fewer than trace_seq valid events, fails with a message naming
+// the tracelog and the commit point, and never starts a tail-only log.
+TEST(EngineRecovery, ResumeRefusesMissingOrShortStagingFile) {
+  ScratchDir out("short-trace");
+  ScratchDir dir("short-ckpt");
+  const std::string path = out.str() + "/run.tracelog";
+  const std::string staging = atomic_temp_path(path);
+  crash_once(path, dir.str());
+  const std::uint64_t committed = ResumedTrace::committed_seq(dir.str());
+  ASSERT_GT(committed, 0u);
+  const std::string full = slurp(staging);
+
+  const auto expect_refused = [&](const std::string& label) {
+    SCOPED_TRACE(label);
+    try {
+      tracelog_resume_offset(path, committed);
+      ADD_FAILURE() << "resumed without the committed prefix";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("tracelog " + path + " cannot resume at event " +
+                          std::to_string(committed)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("fewer than " + std::to_string(committed) +
+                          " valid events"),
+                std::string::npos)
+          << what;
+    }
+  };
+
+  std::filesystem::remove(staging);
+  expect_refused("missing");
+  EXPECT_EQ(tracelog_resume_offset(path, 0), 0u)
+      << "a first start needs no staging file";
+
+  // Header plus one event line fewer than committed.
+  std::size_t cut = 0;
+  for (std::uint64_t line = 0; line < committed; ++line)
+    cut = full.find('\n', cut) + 1;
+  spill(staging, full.substr(0, cut));
+  expect_refused("short by one event");
+
+  // The committed prefix with its last newline torn off.
+  cut = full.find('\n', cut) + 1;
+  spill(staging, full.substr(0, cut - 1));
+  expect_refused("unterminated last line");
+
+  spill(staging, full.substr(0, cut));
+  EXPECT_EQ(tracelog_resume_offset(path, committed), cut);
+}
+
+// After a restore, events_per_sec() divides only the events this run()
+// stepped by its wall time; total_events still counts the whole logical
+// run.
+TEST(EngineRecovery, ThroughputCountsOnlyEventsSteppedAfterRestore) {
+  const std::vector<TenantSpec> specs = engine_tenants("pd");
+  ScratchDir dir("throughput");
+  EngineOptions options;
+  options.batch_size = 64;
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 1;
+  FaultPlan plan = FaultPlan::parse("crashes=1,seed=2,gap=4");
+  options.fault_plan = &plan;
+  std::uint64_t crash_round = 0;
+  try {
+    ShardedEngine(specs, options).run();
+    FAIL() << "the plan must crash the run";
+  } catch (const EngineCrash& crash) {
+    crash_round = crash.round;
+  }
+
+  options.fault_plan = nullptr;
+  const EngineResult result = ShardedEngine(specs, options).run();
+  ASSERT_EQ(result.restored_from_round, crash_round);
+  std::uint64_t expected = 0;
+  for (const TenantResult& tenant : result.tenants) {
+    const std::uint64_t replayed = crash_round * options.batch_size;
+    if (tenant.run.events > replayed) expected += tenant.run.events - replayed;
+  }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(result.stepped_events, expected);
+  EXPECT_LT(result.stepped_events, result.total_events);
+  EXPECT_EQ(result.events_per_sec(),
+            static_cast<double>(expected) * 1e9 / result.wall_ns);
 }
 
 }  // namespace

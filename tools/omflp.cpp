@@ -695,17 +695,6 @@ int cmd_stream(const StreamArgs& a) {
 
 // ----------------------------------------------------------------- serve ---
 
-// Collects the engine's merged decision trace in memory so the fault
-// harness can truncate it to the last checkpoint's trace_seq after an
-// injected crash — the replay tail then re-emits exactly the dropped
-// suffix, and the final log is bitwise identical to a crash-free run.
-struct VecTraceSink final : TraceSink {
-  std::vector<TraceEvent> events;
-  void on_event(const TraceEvent& event) override {
-    events.push_back(event);
-  }
-};
-
 // Peak resident set size in kB: VmHWM from /proc/self/status, or nothing
 // where that file or field is unavailable (non-Linux hosts).
 std::optional<std::uint64_t> peak_rss_kb() {
@@ -848,23 +837,12 @@ int cmd_serve(const ServeArgs& a) {
                     a.sample_every);
     options.sampler = &*sampler;
   }
-  // Decision trace: streamed straight to the (atomically published) file
-  // in normal runs. Under fault injection it is buffered in memory
-  // instead, because every crash has to rewind the log to the last
-  // checkpoint's trace_seq before the replay tail re-appends it.
+  // Decision trace: streamed to the staging file `F.tmp`, published as F
+  // at the end. Every engine start (first, after an injected crash, in a
+  // restarted process) resumes `F.tmp` at the newest valid manifest's
+  // trace_seq, the trace's commit point; a crash leaves `F.tmp` behind.
   std::optional<AtomicFileWriter> trace_file;
   std::optional<TraceLogWriter> trace_writer;
-  std::optional<VecTraceSink> trace_vec;
-  if (!a.trace_out.empty()) {
-    if (fault_plan) {
-      trace_vec.emplace();
-      options.trace_sink = &*trace_vec;
-    } else {
-      trace_file.emplace(a.trace_out);
-      trace_writer.emplace(trace_file->stream());
-      options.trace_sink = &*trace_writer;
-    }
-  }
 
   // The serve loop: under a fault plan, every injected crash tears down
   // the engine (sessions, ledgers, algorithms — everything), corrupts
@@ -873,39 +851,36 @@ int cmd_serve(const ServeArgs& a) {
   // process would.
   std::optional<ShardedEngine> engine;
   EngineResult result;
-  std::uint64_t restarts = 0;
+  std::optional<std::uint64_t> crashed_after;
   for (;;) {
+    std::optional<CheckpointManifest> manifest;
+    if (!options.checkpoint_dir.empty())
+      manifest = CheckpointStore(options.checkpoint_dir).latest_valid();
+    if (crashed_after)
+      std::cout << "crash      injected after round " << *crashed_after
+                << "; restarting from round "
+                << (manifest ? manifest->round : 0) << "\n";
+    if (!a.trace_out.empty()) {
+      trace_writer.reset();
+      trace_file.reset();
+      const std::uint64_t committed = manifest ? manifest->trace_seq : 0;
+      trace_file.emplace(a.trace_out,
+                         tracelog_resume_offset(a.trace_out, committed));
+      trace_writer.emplace(trace_file->stream(), committed);
+      options.trace_sink = &*trace_writer;
+    }
     try {
       engine.emplace(specs, options);
       result = engine->run();
       break;
     } catch (const EngineCrash& crash) {
       engine.reset();
-      ++restarts;
-      std::uint64_t resume_round = 0;
-      std::uint64_t keep_trace = 0;
-      CheckpointStore store(options.checkpoint_dir);
-      if (const auto manifest = store.latest_valid()) {
-        resume_round = manifest->round;
-        keep_trace = manifest->trace_seq;
-      }
-      if (trace_vec && trace_vec->events.size() > keep_trace)
-        trace_vec->events.resize(keep_trace);
-      std::cout << "crash      injected after round " << crash.round
-                << "; restarting from round " << resume_round << "\n";
+      crashed_after = crash.round;
     }
   }
 
-  if (trace_vec) {
-    trace_file.emplace(a.trace_out);
-    TraceLogWriter writer(trace_file->stream());
-    for (const TraceEvent& event : trace_vec->events)
-      writer.on_event(event);
-    writer.finish();
-    trace_file->commit();
-    std::cout << "trace      " << writer.events_written() << " events -> "
-              << a.trace_out << "\n";
-  } else if (trace_writer) {
+  const std::size_t restarts = fault_plan ? fault_plan->crashes_fired() : 0;
+  if (trace_writer) {
     trace_writer->finish();
     trace_file->commit();
     std::cout << "trace      " << trace_writer->events_written()
