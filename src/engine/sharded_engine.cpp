@@ -216,6 +216,7 @@ EngineResult ShardedEngine::run() const {
     result.restored_from_round = restored->round;
     trace_seq = restored->trace_seq;
   }
+  if (options_.trace_sink != nullptr) options_.trace_sink->start(trace_seq);
 
   LatencyHistogram histogram;
   std::vector<PerfCounters> shard_counters(shards);

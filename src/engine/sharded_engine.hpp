@@ -81,9 +81,9 @@ struct EngineOptions {
   /// into a private TraceBuffer while being stepped; after every round
   /// the buffers are drained into this sink in tenant order on the
   /// calling thread — so the trace is bitwise independent of both the
-  /// shard count and OMFLP_THREADS. It is flushed before each checkpoint
-  /// publication; a restored run emits from the generation's trace_seq
-  /// on (tracelog_resume_offset positions a file sink there).
+  /// shard count and OMFLP_THREADS. run() starts it at 0 or at the
+  /// restored generation's trace_seq, once the restore guards pass, and
+  /// flushes it before each checkpoint publication.
   TraceSink* trace_sink = nullptr;
   /// Checkpoint directory (recover/checkpoint_store.hpp). When set,
   /// run() first restores every tenant from the newest valid generation

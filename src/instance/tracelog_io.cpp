@@ -13,7 +13,6 @@
 #include <string_view>
 
 #include "instance/io_detail.hpp"
-#include "support/atomic_file.hpp"
 #include "support/parse.hpp"
 
 namespace omflp {
@@ -548,27 +547,40 @@ bool TraceLogReader::next(TraceEvent& out) {
   }
 }
 
-std::uint64_t tracelog_resume_offset(const std::string& path,
-                                     std::uint64_t events) {
-  if (events == 0) return 0;
-  const std::string staging = atomic_temp_path(path);
-  std::ifstream is(staging, std::ios::binary);  // a missing file reads empty
-  try {
-    TraceLogReader reader(is);
-    TraceEvent event;
-    while (reader.events_read() < events && reader.next(event)) {
+// ----------------------------------------------------------- log file ---
+
+void TraceLogFile::start(std::uint64_t first_seq) {
+  writer_.reset();
+  file_.reset();
+  std::streamoff keep = 0;
+  if (first_seq > 0) {
+    const std::string staging = atomic_temp_path(path_);
+    std::ifstream is(staging, std::ios::binary);  // a missing file reads empty
+    try {
+      TraceLogReader reader(is);
+      TraceEvent event;
+      while (reader.events_read() < first_seq && reader.next(event)) {
+      }
+      // tellg() is -1 when the last line read has no newline (torn).
+      if (reader.events_read() == first_seq) keep = is.tellg();
+    } catch (const std::invalid_argument&) {
+      // A damaged line (or a missing header) ends the valid prefix.
     }
-    // tellg() fails when the last line read has no newline: a torn write.
-    const std::streamoff end = is.tellg();
-    if (reader.events_read() == events && end >= 0)
-      return static_cast<std::uint64_t>(end);
-  } catch (const std::invalid_argument&) {
-    // A damaged line (or a missing header) ends the valid prefix.
+    if (keep <= 0)
+      throw std::runtime_error(
+          "tracelog " + path_ + " cannot resume at event " +
+          std::to_string(first_seq) + ": its staging file " + staging +
+          " is missing or holds fewer than " + std::to_string(first_seq) +
+          " valid events");
   }
-  throw std::runtime_error("tracelog " + path + " cannot resume at event " +
-                           std::to_string(events) + ": its staging file " +
-                           staging + " is missing or holds fewer than " +
-                           std::to_string(events) + " valid events");
+  file_.emplace(path_, static_cast<std::uint64_t>(keep));
+  writer_.emplace(file_->stream(), first_seq);
+}
+
+std::uint64_t TraceLogFile::commit() {
+  writer_->finish();
+  file_->commit();
+  return writer_->events_written();
 }
 
 // --------------------------------------------------- convenience layer ---

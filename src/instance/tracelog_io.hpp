@@ -31,17 +31,19 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/trace_sink.hpp"
+#include "support/atomic_file.hpp"
 
 namespace omflp {
 
 /// A TraceSink that writes events to `os` in OMFLP-TRACELOG v1. The
 /// header is written on construction, unless `first_seq` > 0: then `os`
 /// already holds the header and events 0 .. first_seq-1 (see
-/// tracelog_resume_offset) and the writer continues the log. Event lines
+/// TraceLogFile) and the writer continues the log. Event lines
 /// collect in a buffer that reaches `os` in whole lines every
 /// kFlushBytes, at flush() and at finish(). Call finish() (or let the
 /// destructor do it) to append the end line. An event that cannot be
@@ -123,14 +125,32 @@ class TraceLogReader {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Where a writer resuming the tracelog published at `path` continues:
-/// the byte length of the header and the first `events` event lines of
-/// its staging file `<path>.tmp` (support/atomic_file.hpp), each checked
-/// by the strict reader; 0 when `events` is 0. Throws std::runtime_error
-/// naming `path` and `events` when the staging file is missing or holds
-/// fewer than `events` valid, newline-terminated event lines.
-std::uint64_t tracelog_resume_offset(const std::string& path,
-                                     std::uint64_t events);
+/// The `omflp serve --trace-out` sink: streams the log into a resumable
+/// AtomicFileWriter's staging file, published by commit(). start(T),
+/// called by ShardedEngine::run with the log's commit point (0 or the
+/// restored generation's trace_seq), keeps the staging file's header and
+/// first T event lines, each checked by the strict reader, and continues
+/// at seq T; it throws std::runtime_error naming `path` and T when fewer
+/// than T valid, newline-terminated event lines are there. Nothing
+/// touches the staging file before start(), and nothing removes it: an
+/// uncommitted one is what the next start resumes.
+class TraceLogFile final : public TraceSink {
+ public:
+  explicit TraceLogFile(std::string path) : path_(std::move(path)) {}
+
+  void start(std::uint64_t first_seq) override;
+  void on_event(const TraceEvent& event) override {
+    writer_->on_event(event);
+  }
+  void flush() override { writer_->flush(); }
+  /// Write the end line and publish the log; returns its event count.
+  std::uint64_t commit();
+
+ private:
+  std::string path_;
+  std::optional<AtomicFileWriter> file_;  // set by start()
+  std::optional<TraceLogWriter> writer_;
+};
 
 /// Materializing convenience wrappers (tests, `omflp explain`).
 std::vector<TraceEvent> read_tracelog(

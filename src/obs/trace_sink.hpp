@@ -215,6 +215,10 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_event(const TraceEvent& event) = 0;
+  /// ShardedEngine::run calls it once, before its first event, with that
+  /// event's seq: 0, or the restored checkpoint generation's trace_seq
+  /// (a sink that persists the log drops what it holds from there on).
+  virtual void start(std::uint64_t /*first_seq*/) {}
   /// Make every event received so far durable; the engine calls it
   /// before publishing a checkpoint generation.
   virtual void flush() {}
@@ -264,6 +268,24 @@ inline void emit(const TraceEvent& event) {
 }
 
 }  // namespace obs
+
+/// RAII mute: uninstalls any trace sink for the current scope. Used by
+/// PerCommodityAdapter, whose sub-algorithms run against private
+/// sub-ledgers — their facility/request ids would pollute a trace that
+/// speaks real-ledger ids, so the adapter re-emits with translated ids.
+class TraceSuppressScope {
+ public:
+  TraceSuppressScope() noexcept : previous_(obs::tl_trace_sink) {
+    obs::tl_trace_sink = nullptr;
+  }
+  ~TraceSuppressScope() { obs::tl_trace_sink = previous_; }
+
+  TraceSuppressScope(const TraceSuppressScope&) = delete;
+  TraceSuppressScope& operator=(const TraceSuppressScope&) = delete;
+
+ private:
+  TraceSink* previous_;
+};
 
 /// RAII installer mirroring PerfScope: makes `sink` the current thread's
 /// trace sink and restores the previous one on destruction.

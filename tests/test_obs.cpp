@@ -81,6 +81,19 @@ TEST(TraceSink, OffByDefaultAndScopeRestores) {
   EXPECT_FALSE(obs::tracing());
 }
 
+TEST(TraceSink, SuppressScopeMutesAndRestores) {
+  TraceBuffer buffer;
+  TraceScope scope(buffer);
+  {
+    TraceSuppressScope mute;
+    EXPECT_FALSE(obs::tracing());
+    TraceEvent ev;
+    obs::emit(ev);  // dropped
+  }
+  EXPECT_TRUE(obs::tracing());
+  EXPECT_TRUE(buffer.events().empty());
+}
+
 TEST(TraceSink, ContributorsCanonicalizedAndCapped) {
   TraceEvent ev;
   std::vector<TraceContributor> all;

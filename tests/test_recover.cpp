@@ -944,12 +944,18 @@ TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {
   EXPECT_THROW(ShardedEngine(resized, restore).run(),
                std::invalid_argument);
   // A traced run cannot continue an untraced checkpoint set: its
-  // trace_seq counts none of the decisions made before the snapshot.
-  TraceBuffer trace;
+  // trace_seq counts none of the decisions made before the snapshot. The
+  // refusal comes before the sink is started, so a staging file another
+  // run left behind is not touched.
+  ScratchDir out("guards-trace");
+  const std::string trace_path = out.str() + "/run.tracelog";
+  const std::string staged = "another run's resumable staging file\n";
+  spill(atomic_temp_path(trace_path), staged);
+  TraceLogFile trace(trace_path);
   EngineOptions traced = restore;
   traced.trace_sink = &trace;
   EXPECT_THROW(ShardedEngine(specs, traced).run(), std::invalid_argument);
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_EQ(slurp(atomic_temp_path(trace_path)), staged);
   // The untouched roster still restores.
   EXPECT_GT(ShardedEngine(specs, restore).run().restored_from_round, 0u);
 
@@ -972,30 +978,12 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
-/// The staging file of the tracelog published at `path`, kept up to the
-/// newest valid generation's trace_seq in `checkpoint_dir`, and a writer
-/// continuing it there: the start path `omflp serve --trace-out` takes
-/// before every engine start.
-struct ResumedTrace {
-  ResumedTrace(const std::string& path, const std::string& checkpoint_dir)
-      : ResumedTrace(path, committed_seq(checkpoint_dir)) {}
-  ResumedTrace(const std::string& path, std::uint64_t committed)
-      : file(path, tracelog_resume_offset(path, committed)),
-        writer(file.stream(), committed) {}
-
-  static std::uint64_t committed_seq(const std::string& checkpoint_dir) {
-    const auto manifest = CheckpointStore(checkpoint_dir).latest_valid();
-    return manifest ? manifest->trace_seq : 0;
-  }
-
-  void publish() {
-    writer.finish();
-    file.commit();
-  }
-
-  AtomicFileWriter file;
-  TraceLogWriter writer;
-};
+/// The newest valid generation's trace_seq in `checkpoint_dir`: the
+/// commit point a restart resumes the tracelog at.
+std::uint64_t committed_seq(const std::string& checkpoint_dir) {
+  const auto manifest = CheckpointStore(checkpoint_dir).latest_valid();
+  return manifest ? manifest->trace_seq : 0;
+}
 
 /// The lease-heavy PD shape of the golden trace: capacity 6 with reject,
 /// so contributor lists, shed requests and rollbacks all reach the log.
@@ -1018,8 +1006,8 @@ EngineOptions lease_heavy_options() {
 // build; this digest also catches a change that moves both runs alike
 // (a field narrowed, dropped or reordered on the way to the log). The
 // run mirrors `omflp serve --fault-plan --trace-out`: events stream to
-// the staging file, and every start resumes it at the newest valid
-// manifest's trace_seq.
+// the staging file of one TraceLogFile, which every engine start resumes
+// at the restored manifest's trace_seq.
 TEST(EngineRecovery, FaultPlanTracelogMatchesGoldenDigest) {
   const std::vector<TenantSpec> specs = lease_heavy_tenants();
   ScratchDir dir("golden-trace");
@@ -1033,20 +1021,20 @@ TEST(EngineRecovery, FaultPlanTracelogMatchesGoldenDigest) {
   FaultPlan plan = FaultPlan::parse("crashes=1,seed=7,gap=8");
   options.fault_plan = &plan;
 
+  TraceLogFile trace(path);
+  options.trace_sink = &trace;
   std::uint64_t restarts = 0;
   std::uint64_t resumed_at = 0;
   for (;;) {
-    ResumedTrace trace(path, options.checkpoint_dir);
-    resumed_at = trace.writer.events_written();
-    options.trace_sink = &trace.writer;
     try {
       ShardedEngine(specs, options).run();
-      trace.publish();
       break;
     } catch (const EngineCrash&) {
       ++restarts;
+      resumed_at = committed_seq(options.checkpoint_dir);
     }
   }
+  EXPECT_EQ(trace.commit(), 26034u);
   ASSERT_EQ(restarts, 1u);
   EXPECT_GT(resumed_at, 0u);
   EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(path)));
@@ -1075,8 +1063,8 @@ void crash_once(const std::string& path, const std::string& checkpoint_dir) {
   FaultPlan plan = FaultPlan::parse("crashes=1,seed=7,gap=8");
   ASSERT_EQ(plan.crash_rounds().at(0), 3u);
   options.fault_plan = &plan;
-  ResumedTrace trace(path, options.checkpoint_dir);
-  options.trace_sink = &trace.writer;
+  TraceLogFile trace(path);
+  options.trace_sink = &trace;
   EXPECT_THROW(ShardedEngine(lease_heavy_tenants(), options).run(),
                EngineCrash);
 }
@@ -1090,34 +1078,32 @@ TEST(EngineRecovery, RestartInNewProcessContinuesTracelogBitwise) {
   const std::string clean_path = out.str() + "/clean.tracelog";
   const std::string path = out.str() + "/restart.tracelog";
   {
-    ResumedTrace trace(clean_path, 0);
+    TraceLogFile trace(clean_path);
     EngineOptions options = lease_heavy_options();
-    options.trace_sink = &trace.writer;
+    options.trace_sink = &trace;
     ShardedEngine(lease_heavy_tenants(), options).run();
-    trace.publish();
+    trace.commit();
   }
 
   ScratchDir dir("restart-ckpt");
   crash_once(path, dir.str());
   const std::string staging = atomic_temp_path(path);
   ASSERT_TRUE(std::filesystem::exists(staging));
-  const std::uint64_t committed = ResumedTrace::committed_seq(dir.str());
-  ASSERT_GT(committed, 0u);
+  ASSERT_GT(committed_seq(dir.str()), 0u);
   {
     std::ofstream torn(staging, std::ios::binary | std::ios::app);
     torn << "{\"seq\":99999999,\"kind\":\"fac";
   }
 
-  ResumedTrace trace(path, dir.str());
-  EXPECT_EQ(trace.writer.events_written(), committed);
+  TraceLogFile trace(path);
   EngineOptions options = lease_heavy_options();
   options.checkpoint_dir = dir.str();
   options.checkpoint_every = 2;
-  options.trace_sink = &trace.writer;
+  options.trace_sink = &trace;
   const EngineResult result =
       ShardedEngine(lease_heavy_tenants(), options).run();
   EXPECT_EQ(result.restored_from_round, 2u);
-  trace.publish();
+  trace.commit();
   EXPECT_EQ(slurp(path), slurp(clean_path));
 }
 
@@ -1130,14 +1116,14 @@ TEST(EngineRecovery, ResumeRefusesMissingOrShortStagingFile) {
   const std::string path = out.str() + "/run.tracelog";
   const std::string staging = atomic_temp_path(path);
   crash_once(path, dir.str());
-  const std::uint64_t committed = ResumedTrace::committed_seq(dir.str());
+  const std::uint64_t committed = committed_seq(dir.str());
   ASSERT_GT(committed, 0u);
   const std::string full = slurp(staging);
 
   const auto expect_refused = [&](const std::string& label) {
     SCOPED_TRACE(label);
     try {
-      tracelog_resume_offset(path, committed);
+      TraceLogFile(path).start(committed);
       ADD_FAILURE() << "resumed without the committed prefix";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -1154,8 +1140,7 @@ TEST(EngineRecovery, ResumeRefusesMissingOrShortStagingFile) {
 
   std::filesystem::remove(staging);
   expect_refused("missing");
-  EXPECT_EQ(tracelog_resume_offset(path, 0), 0u)
-      << "a first start needs no staging file";
+  EXPECT_FALSE(std::filesystem::exists(staging));
 
   // Header plus one event line fewer than committed.
   std::size_t cut = 0;
@@ -1169,8 +1154,47 @@ TEST(EngineRecovery, ResumeRefusesMissingOrShortStagingFile) {
   spill(staging, full.substr(0, cut - 1));
   expect_refused("unterminated last line");
 
-  spill(staging, full.substr(0, cut));
-  EXPECT_EQ(tracelog_resume_offset(path, committed), cut);
+  // The exact prefix resumes: the torn tail is cut and the dropped
+  // writer's end line follows event committed-1. A first start needs no
+  // staging file.
+  spill(staging, full.substr(0, cut) + "{\"seq\":");
+  TraceLogFile(path).start(committed);
+  EXPECT_EQ(slurp(staging), full.substr(0, cut) + "{\"end\":true,\"events\":" +
+                                std::to_string(committed) + "}\n");
+  std::filesystem::remove(staging);
+  TraceLogFile(path).start(0);
+  EXPECT_TRUE(std::filesystem::exists(staging));
+}
+
+// The manifest's trace_seq is a commit point only if the sink is flushed
+// before the generation is published: at every flush() the store still
+// holds the previous generation, and the last flush saw exactly the
+// events the newest manifest counts.
+TEST(EngineRecovery, TraceSinkFlushedBeforeEachPublish) {
+  struct FlushProbe final : TraceSink {
+    std::string dir;
+    std::uint64_t events = 0;
+    std::vector<std::uint64_t> flushed_at, committed_then;
+    void on_event(const TraceEvent&) override { ++events; }
+    void flush() override {
+      flushed_at.push_back(events);
+      committed_then.push_back(committed_seq(dir));
+    }
+  };
+  ScratchDir dir("flush-probe");
+  FlushProbe probe;
+  probe.dir = dir.str();
+  EngineOptions options = lease_heavy_options();
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 2;
+  options.trace_sink = &probe;
+  const EngineResult result =
+      ShardedEngine(lease_heavy_tenants(), options).run();
+  ASSERT_EQ(probe.flushed_at.size(), result.checkpoints_published);
+  ASSERT_GT(probe.flushed_at.size(), 1u);
+  for (std::size_t k = 0; k < probe.flushed_at.size(); ++k)
+    EXPECT_EQ(probe.committed_then[k], k > 0 ? probe.flushed_at[k - 1] : 0);
+  EXPECT_EQ(committed_seq(dir.str()), probe.flushed_at.back());
 }
 
 // After a restore, events_per_sec() divides only the events this run()

@@ -837,12 +837,12 @@ int cmd_serve(const ServeArgs& a) {
                     a.sample_every);
     options.sampler = &*sampler;
   }
-  // Decision trace: streamed to the staging file `F.tmp`, published as F
-  // at the end. Every engine start (first, after an injected crash, in a
-  // restarted process) resumes `F.tmp` at the newest valid manifest's
-  // trace_seq, the trace's commit point; a crash leaves `F.tmp` behind.
-  std::optional<AtomicFileWriter> trace_file;
-  std::optional<TraceLogWriter> trace_writer;
+  // Decision trace: streamed to the staging file `F.tmp` and published
+  // as F at the end. Every engine start (first, after an injected crash,
+  // in a restarted process) resumes `F.tmp` at its commit point, the
+  // restored manifest's trace_seq; a crash leaves `F.tmp` behind.
+  std::optional<TraceLogFile> trace;
+  if (!a.trace_out.empty()) options.trace_sink = &trace.emplace(a.trace_out);
 
   // The serve loop: under a fault plan, every injected crash tears down
   // the engine (sessions, ledgers, algorithms — everything), corrupts
@@ -851,40 +851,27 @@ int cmd_serve(const ServeArgs& a) {
   // process would.
   std::optional<ShardedEngine> engine;
   EngineResult result;
-  std::optional<std::uint64_t> crashed_after;
+  std::uint64_t restarts = 0;
   for (;;) {
-    std::optional<CheckpointManifest> manifest;
-    if (!options.checkpoint_dir.empty())
-      manifest = CheckpointStore(options.checkpoint_dir).latest_valid();
-    if (crashed_after)
-      std::cout << "crash      injected after round " << *crashed_after
-                << "; restarting from round "
-                << (manifest ? manifest->round : 0) << "\n";
-    if (!a.trace_out.empty()) {
-      trace_writer.reset();
-      trace_file.reset();
-      const std::uint64_t committed = manifest ? manifest->trace_seq : 0;
-      trace_file.emplace(a.trace_out,
-                         tracelog_resume_offset(a.trace_out, committed));
-      trace_writer.emplace(trace_file->stream(), committed);
-      options.trace_sink = &*trace_writer;
-    }
     try {
       engine.emplace(specs, options);
       result = engine->run();
       break;
     } catch (const EngineCrash& crash) {
       engine.reset();
-      crashed_after = crash.round;
+      ++restarts;
+      const auto manifest =
+          CheckpointStore(options.checkpoint_dir).latest_valid();
+      std::cout << "crash      injected after round " << crash.round
+                << "; restarting from round "
+                << (manifest ? manifest->round : 0) << "\n";
     }
   }
 
-  const std::size_t restarts = fault_plan ? fault_plan->crashes_fired() : 0;
-  if (trace_writer) {
-    trace_writer->finish();
-    trace_file->commit();
-    std::cout << "trace      " << trace_writer->events_written()
-              << " events -> " << a.trace_out << "\n";
+  if (trace) {
+    const std::uint64_t events = trace->commit();
+    std::cout << "trace      " << events << " events -> " << a.trace_out
+              << "\n";
   }
   if (sampler) {
     metrics_file->commit();
