@@ -104,7 +104,7 @@ struct AscentOutcome {
 /// result is a pure function of the inputs, independent of thread count.
 AscentOutcome run_commodity_ascent(
     const std::vector<DemandRef>& members,
-    const std::vector<const double*>& request_row,
+    const RequestDistanceRows& request_row,
     const std::vector<double>& inv_k, const std::vector<double>& budget,
     std::size_t num_points, std::vector<double>& scratch_scaled,
     const std::vector<double>& zeros) {
@@ -252,38 +252,97 @@ std::vector<double> commodity_budgets(const FacilityCostModel& cost,
   return budgets_at(cost, m, options.max_exhaustive_commodities);
 }
 
+RequestDistanceRows::RequestDistanceRows(const Instance& instance)
+    : offset(instance.num_requests()) {
+  const MetricSpace& metric = instance.metric();
+  const std::size_t points = metric.num_points();
+  constexpr std::size_t kUnseen = ~std::size_t{0};
+  std::vector<std::size_t> offset_of_point(points, kUnseen);
+  for (std::size_t r = 0; r < offset.size(); ++r) {
+    const PointId loc = instance.request(static_cast<RequestId>(r)).location;
+    OMFLP_REQUIRE(loc < points, "dual_ascent: request outside the metric");
+    if (offset_of_point[loc] == kUnseen) {
+      offset_of_point[loc] = storage.size();
+      storage.resize(storage.size() + points);
+      double* dst = storage.data() + offset_of_point[loc];
+      for (PointId m = 0; m < points; ++m) dst[m] = metric.distance(loc, m);
+      OMFLP_PERF_ADD(distance_lookups, points);
+    }
+    offset[r] = offset_of_point[loc];
+  }
+}
+
+DualCertificate seal_certificate(const Instance& instance,
+                                 const RequestDistanceRows& rows,
+                                 std::vector<std::vector<double>> duals,
+                                 std::string method) {
+  const std::size_t n = instance.num_requests();
+  const std::size_t points = instance.metric().num_points();
+  const CommodityId s = instance.num_commodities();
+  OMFLP_REQUIRE(duals.size() == n && rows.offset.size() == n,
+                "seal_certificate: one dual row and one distance row per "
+                "request");
+
+  // Per commodity, the (request, dual) pairs demanding it, in request
+  // order.
+  std::vector<std::vector<std::pair<std::size_t, double>>> by_commodity(s);
+  for (std::size_t r = 0; r < n; ++r) {
+    const CommoditySet& demand =
+        instance.request(static_cast<RequestId>(r)).commodities;
+    OMFLP_REQUIRE(duals[r].size() == demand.count(),
+                  "seal_certificate: dual row length differs from |s_r|");
+    std::size_t slot = 0;
+    demand.for_each([&](CommodityId e) {
+      by_commodity[e].push_back({r, duals[r][slot++]});
+    });
+  }
+
+  DualCertificate cert;
+  cert.num_requests = n;
+  cert.num_commodities = s;
+  cert.num_points = points;
+  cert.method = std::move(method);
+
+  // Objective and audit slack (the canonical vector of
+  // bound/certificate.hpp), assembled with the bid-plane kernels: each
+  // (commodity, request) pair is one clipped-bid row accumulation.
+  std::vector<double> slack(points, kInf);
+  std::vector<double> row(points);
+  for (CommodityId e = 0; e < s; ++e) {
+    if (by_commodity[e].empty()) continue;
+    std::fill(row.begin(), row.end(), 0.0);
+    double commodity_sum = 0.0;
+    for (const auto& [r, dual] : by_commodity[e]) {
+      commodity_sum += dual;
+      kernel::accumulate_clipped_bid(row.data(), rows[r], dual, points);
+      OMFLP_PERF_ADD(bids_updated, points);
+    }
+    cert.objective += commodity_sum;
+    for (PointId m = 0; m < points; ++m)
+      slack[m] =
+          std::min(slack[m], instance.cost().singleton_cost(m, e) - row[m]);
+  }
+  std::fill(row.begin(), row.end(), 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    double dual_sum = 0.0;
+    for (double a : duals[r]) dual_sum += a;
+    kernel::accumulate_clipped_bid(row.data(), rows[r], dual_sum, points);
+    OMFLP_PERF_ADD(bids_updated, points);
+  }
+  for (PointId m = 0; m < points; ++m)
+    slack[m] = std::min(slack[m], instance.cost().full_cost(m) - row[m]);
+  cert.duals = std::move(duals);
+  cert.facility_slack = std::move(slack);
+  return cert;
+}
+
 DualAscentResult dual_ascent_lower_bound(const Instance& instance,
                                          const DualAscentOptions& options) {
   const std::size_t n = instance.num_requests();
   OMFLP_REQUIRE(n > 0, "dual_ascent: empty instance");
   const std::size_t points = instance.metric().num_points();
   const CommodityId s = instance.num_commodities();
-
-  // Distance rows per *distinct* request location (requests cluster on
-  // few points in most scenarios), filled straight from the metric so
-  // worker threads only touch plain read-only memory.
-  const MetricSpace& metric = instance.metric();
-  std::vector<std::uint32_t> slot_of_point(points, ~std::uint32_t{0});
-  std::vector<const double*> request_row(n, nullptr);
-  std::vector<double> rows;
-  std::size_t distinct = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const PointId loc = instance.request(static_cast<RequestId>(r)).location;
-    OMFLP_REQUIRE(loc < points, "dual_ascent: request outside the metric");
-    if (slot_of_point[loc] == ~std::uint32_t{0}) {
-      slot_of_point[loc] = static_cast<std::uint32_t>(distinct++);
-      rows.resize(distinct * points);
-      double* dst = rows.data() + (distinct - 1) * points;
-      for (PointId m = 0; m < points; ++m) dst[m] = metric.distance(loc, m);
-      OMFLP_PERF_ADD(distance_lookups, points);
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r)
-    request_row[r] =
-        rows.data() +
-        std::size_t{slot_of_point[instance.request(static_cast<RequestId>(r))
-                                      .location]} *
-            points;
+  const RequestDistanceRows rows(instance);
 
   // Demand bookkeeping: per request the split divisor, per commodity the
   // (request, dual slot) membership list.
@@ -353,30 +412,23 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
                         static_cast<std::ptrdiff_t>((i + 1) * points),
                     budget.begin());
         std::vector<double> scratch(points);
-        outcomes[i] = run_commodity_ascent(members[demanded[i]], request_row,
+        outcomes[i] = run_commodity_ascent(members[demanded[i]], rows,
                                            inv_k, budget, points, scratch,
                                            zeros);
       },
       options.threads);
 
-  // Assemble the certificate.
+  // Scatter the frozen duals into certificate rows.
   DualAscentResult result;
-  DualCertificate& cert = result.certificate;
-  cert.num_requests = n;
-  cert.num_commodities = s;
-  cert.num_points = points;
-  cert.method = "dual-ascent";
-  cert.duals.resize(n);
+  std::vector<std::vector<double>> duals(n);
   for (std::size_t r = 0; r < n; ++r)
-    cert.duals[r].assign(
+    duals[r].assign(
         instance.request(static_cast<RequestId>(r)).commodities.count(),
         0.0);
-  double objective = 0.0;
   for (std::size_t i = 0; i < demanded.size(); ++i) {
     const auto& refs = members[demanded[i]];
     for (std::size_t j = 0; j < refs.size(); ++j)
-      cert.duals[refs[j].request][refs[j].slot] = outcomes[i].freeze[j];
-    objective += outcomes[i].objective;
+      duals[refs[j].request][refs[j].slot] = outcomes[i].freeze[j];
     result.tight_facilities += outcomes[i].tight;
     // Emitted here, in commodity order after the parallel ascent, so the
     // trace is independent of the thread count. One aggregate raise per
@@ -393,42 +445,14 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
       obs::emit(ev);
     }
   }
-  cert.objective = objective;
-  result.lower_bound = objective;
   result.duals_raised = total_duals;
   OMFLP_PERF_ADD(duals_raised, total_duals);
 
-  // Audit slack (the canonical vector of bound/certificate.hpp),
-  // assembled with the bid-plane kernels: each (commodity, request) pair
-  // is one clipped-bid row accumulation.
-  std::vector<double> slack(points, kInf);
-  std::vector<double> row(points);
-  for (std::size_t i = 0; i < demanded.size(); ++i) {
-    const CommodityId e = demanded[i];
-    std::fill(row.begin(), row.end(), 0.0);
-    for (std::size_t j = 0; j < members[e].size(); ++j) {
-      kernel::accumulate_clipped_bid(row.data(),
-                                     request_row[members[e][j].request],
-                                     outcomes[i].freeze[j], points);
-      OMFLP_PERF_ADD(bids_updated, points);
-    }
-    for (PointId m = 0; m < points; ++m)
-      slack[m] =
-          std::min(slack[m], instance.cost().singleton_cost(m, e) - row[m]);
-  }
-  std::fill(row.begin(), row.end(), 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    double dual_sum = 0.0;
-    for (double a : cert.duals[r]) dual_sum += a;
-    kernel::accumulate_clipped_bid(row.data(), request_row[r], dual_sum,
-                                   points);
-    OMFLP_PERF_ADD(bids_updated, points);
-  }
-  for (PointId m = 0; m < points; ++m)
-    slack[m] = std::min(slack[m], instance.cost().full_cost(m) - row[m]);
-  cert.facility_slack = slack;
-  result.min_slack_point =
-      static_cast<PointId>(kernel::argmin_over_row(slack.data(), points));
+  result.certificate =
+      seal_certificate(instance, rows, std::move(duals), "dual-ascent");
+  result.lower_bound = result.certificate.objective;
+  result.min_slack_point = static_cast<PointId>(kernel::argmin_over_row(
+      result.certificate.facility_slack.data(), points));
 
   return result;
 }

@@ -40,6 +40,8 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bound/certificate.hpp"
 #include "instance/instance.hpp"
@@ -81,6 +83,31 @@ struct DualAscentResult {
 /// structures and std::invalid_argument on an empty instance.
 DualAscentResult dual_ascent_lower_bound(const Instance& instance,
                                          const DualAscentOptions& options = {});
+
+/// Distance rows d(loc_r, ·) over every point, one per *distinct* request
+/// location (requests cluster on few points in most scenarios), filled
+/// straight from the metric so worker threads only touch plain read-only
+/// memory. Ticks |M| distance_lookups per distinct location.
+struct RequestDistanceRows {
+  explicit RequestDistanceRows(const Instance& instance);
+  /// Request r's row.
+  const double* operator[](std::size_t r) const {
+    return storage.data() + offset[r];
+  }
+  std::vector<double> storage;
+  std::vector<std::size_t> offset;  // per request, into `storage`
+};
+
+/// Seals a dual vector into a certificate: `duals[r][i]` = a_{r,e_i} with
+/// e_0 < e_1 < ... enumerating s_r (the DualCertificate layout). Sets the
+/// objective Σ a_{r,e}, summed commodity by commodity in request order,
+/// and the canonical facility_slack of bound/certificate.hpp, from the
+/// caller's `rows` of the same instance. Feasibility is not checked:
+/// only verify_certificate decides whether the bound holds.
+DualCertificate seal_certificate(const Instance& instance,
+                                 const RequestDistanceRows& rows,
+                                 std::vector<std::vector<double>> duals,
+                                 std::string method);
 
 /// The per-commodity budgets w_e(m) used by the ascent at point m
 /// (exposed for tests; same derivation rules as the bounder).

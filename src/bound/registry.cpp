@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "bound/window.hpp"
-#include "offline/exact_small.hpp"
+#include "offline/opt_estimate.hpp"
 
 namespace omflp {
 
@@ -28,13 +28,10 @@ BoundOutcome run_dual_ascent(const Instance& instance,
 
 BoundOutcome run_exact_small(const Instance& instance,
                              const DualAscentOptions& /*options*/) {
-  const ExactSolverLimits limits;
-  if (instance.metric().num_points() > limits.max_points ||
-      instance.demanded_union().count() > limits.max_union ||
-      instance.num_requests() > limits.max_requests)
+  if (!ExactSolverLimits{}.admits(instance))
     throw BoundUnsupportedError(
         "bound method exact-small: instance exceeds ExactSolverLimits");
-  const OfflineSolution sol = solve_exact_small(instance, limits);
+  const OfflineSolution sol = solve_exact_small(instance);
   BoundOutcome out;
   out.lower = sol.cost;
   out.exact = sol.exact;
@@ -72,13 +69,12 @@ BoundOutcome run_chunked(const Instance& instance,
 
 BoundOutcome run_auto(const Instance& instance,
                       const DualAscentOptions& options) {
-  try {
-    return run_certificate(instance, options);
-  } catch (const BoundUnsupportedError&) {
-  }
-  try {
-    return run_exact_small(instance, options);
-  } catch (const BoundUnsupportedError&) {
+  if (const std::optional<OptEstimate> exact = exact_opt(instance)) {
+    BoundOutcome out;
+    out.lower = exact->cost;
+    out.exact = exact->exact;
+    out.method = exact->method;
+    return out;
   }
   try {
     return run_dual_ascent(instance, options);
@@ -114,8 +110,8 @@ const BoundRegistry& default_bound_registry() {
            "max over contiguous-chunk dual-ascent bounds (any size)",
            run_chunked});
     r.add({"auto",
-           "strongest applicable: certificate, exact-small, dual-ascent, "
-           "chunked",
+           "strongest applicable: certificate, single-point DP, "
+           "exact-small, dual-ascent, chunked",
            run_auto});
     return r;
   }();

@@ -73,8 +73,9 @@ BoundOutcome certificate_outcome(const Instance& instance,
 ///                 BoundUnsupportedError when absent or inexact);
 ///   chunked     — max over contiguous-chunk dual-ascent bounds
 ///                 (bound_instance_chunked; any instance size);
-///   auto        — strongest applicable: certificate, then exact-small,
-///                 then dual-ascent, then chunked.
+///   auto        — strongest applicable: estimate_opt's exact chain
+///                 (exact_opt: certificate, then the single-point DP, then
+///                 exact-small), else dual-ascent, else chunked.
 const BoundRegistry& default_bound_registry();
 
 }  // namespace omflp

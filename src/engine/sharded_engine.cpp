@@ -118,9 +118,11 @@ EngineResult ShardedEngine::run() const {
   std::optional<CheckpointStore> store;
   std::optional<CheckpointManifest> restored;
   std::vector<std::string> payloads;
+  std::uint64_t skipped_generations = 0;
   if (!options_.checkpoint_dir.empty()) {
     store.emplace(options_.checkpoint_dir);
-    if (std::optional<LoadedGeneration> loaded = store->load_latest_valid()) {
+    if (std::optional<LoadedGeneration> loaded =
+            store->load_latest_valid(&skipped_generations)) {
       restored = std::move(loaded->manifest);
       payloads = std::move(loaded->payloads);
     }
@@ -210,6 +212,7 @@ EngineResult ShardedEngine::run() const {
   EngineResult result;
   result.shards = shards;
   result.threads = threads;
+  result.skipped_generations = skipped_generations;
   std::uint64_t trace_seq = 0;
   if (restored) {
     result.rounds = restored->round;

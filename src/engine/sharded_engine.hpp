@@ -150,6 +150,9 @@ struct EngineResult {
   LatencySnapshot batch_latency;
   /// Round the run resumed from (0 = fresh start, no checkpoint found).
   std::uint64_t restored_from_round = 0;
+  /// Newer checkpoint generations recovery passed over as unreadable;
+  /// when none was valid (a cold start), every generation present.
+  std::uint64_t skipped_generations = 0;
   /// Checkpoint generations published by this run() call.
   std::uint64_t checkpoints_published = 0;
   /// Bytes of every tenant's newest checkpoint file (the generation

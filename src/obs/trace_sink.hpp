@@ -269,24 +269,6 @@ inline void emit(const TraceEvent& event) {
 
 }  // namespace obs
 
-/// RAII mute: uninstalls any trace sink for the current scope. Used by
-/// PerCommodityAdapter, whose sub-algorithms run against private
-/// sub-ledgers — their facility/request ids would pollute a trace that
-/// speaks real-ledger ids, so the adapter re-emits with translated ids.
-class TraceSuppressScope {
- public:
-  TraceSuppressScope() noexcept : previous_(obs::tl_trace_sink) {
-    obs::tl_trace_sink = nullptr;
-  }
-  ~TraceSuppressScope() { obs::tl_trace_sink = previous_; }
-
-  TraceSuppressScope(const TraceSuppressScope&) = delete;
-  TraceSuppressScope& operator=(const TraceSuppressScope&) = delete;
-
- private:
-  TraceSink* previous_;
-};
-
 /// RAII installer mirroring PerfScope: makes `sink` the current thread's
 /// trace sink and restores the previous one on destruction.
 class TraceScope {

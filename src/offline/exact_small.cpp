@@ -8,16 +8,18 @@
 
 namespace omflp {
 
+bool ExactSolverLimits::admits(const Instance& instance) const {
+  return instance.metric().num_points() <= max_points &&
+         instance.demanded_union().count() <= max_union &&
+         instance.num_requests() <= max_requests;
+}
+
 OfflineSolution solve_exact_small(const Instance& instance,
                                   const ExactSolverLimits& limits) {
+  OMFLP_REQUIRE(limits.admits(instance),
+                "solve_exact_small: instance exceeds the solver limits");
   const std::size_t points = instance.metric().num_points();
   const CommoditySet demanded = instance.demanded_union();
-  OMFLP_REQUIRE(points <= limits.max_points,
-                "solve_exact_small: too many points");
-  OMFLP_REQUIRE(demanded.count() <= limits.max_union,
-                "solve_exact_small: demanded union too large");
-  OMFLP_REQUIRE(instance.num_requests() <= limits.max_requests,
-                "solve_exact_small: too many requests");
 
   const FacilityCostModel& cost = instance.cost();
   const CommodityId s = cost.num_commodities();

@@ -38,6 +38,9 @@ struct ExactSolverLimits {
   std::size_t max_points = 4;
   CommodityId max_union = 5;    // |U|
   std::size_t max_requests = 24;
+
+  /// True when `instance` fits every limit.
+  bool admits(const Instance& instance) const;
 };
 
 /// Throws if the instance exceeds the limits.

@@ -23,13 +23,6 @@ bool all_requests_at_one_point(const Instance& instance) {
   return true;
 }
 
-bool fits_exact_limits(const Instance& instance) {
-  const ExactSolverLimits limits;
-  return instance.metric().num_points() <= limits.max_points &&
-         instance.demanded_union().count() <= limits.max_union &&
-         instance.num_requests() <= limits.max_requests;
-}
-
 // Attaches the certified lower bound (OptEstimate::lower). On exact
 // estimates the lower bound IS the exact value — and the dual-ascent
 // certificate, when the bounder supports the instance, is cross-checked
@@ -88,38 +81,37 @@ void attach_lower(const Instance& instance, const OptEstimateOptions& options,
 
 }  // namespace
 
+std::optional<OptEstimate> exact_opt(const Instance& instance) {
+  const auto& cert = instance.opt_certificate();
+  if (cert && cert->exact)
+    return OptEstimate{cert->upper_bound, true, "certificate(exact)"};
+
+  if (all_requests_at_one_point(instance)) {
+    const bool size_only =
+        instance.cost().cost_by_size(instance.request(0).location, 1)
+            .has_value();
+    if (size_only || instance.demanded_union().count() <= 20)
+      return OptEstimate{solve_single_point_instance(instance), true,
+                         "single-point-dp"};
+  }
+
+  if (ExactSolverLimits{}.admits(instance)) {
+    const OfflineSolution sol = solve_exact_small(instance);
+    return OptEstimate{sol.cost, sol.exact, sol.method};
+  }
+  return std::nullopt;
+}
+
 OptEstimate estimate_opt(const Instance& instance,
                          const OptEstimateOptions& options) {
   OMFLP_REQUIRE(instance.num_requests() > 0, "estimate_opt: empty instance");
 
-  OptEstimate est;
+  if (std::optional<OptEstimate> est = exact_opt(instance)) {
+    attach_lower(instance, options, *est);
+    return *est;
+  }
+
   const auto& cert = instance.opt_certificate();
-  if (cert && cert->exact) {
-    est = OptEstimate{cert->upper_bound, true, "certificate(exact)"};
-    attach_lower(instance, options, est);
-    return est;
-  }
-
-  if (all_requests_at_one_point(instance)) {
-    const CommoditySet demanded = instance.demanded_union();
-    const bool size_only =
-        instance.cost().cost_by_size(instance.request(0).location, 1)
-            .has_value();
-    if (size_only || demanded.count() <= 20) {
-      est = OptEstimate{solve_single_point_instance(instance), true,
-                        "single-point-dp"};
-      attach_lower(instance, options, est);
-      return est;
-    }
-  }
-
-  if (fits_exact_limits(instance)) {
-    const OfflineSolution sol = solve_exact_small(instance);
-    est = OptEstimate{sol.cost, sol.exact, sol.method};
-    attach_lower(instance, options, est);
-    return est;
-  }
-
   OMFLP_REQUIRE(options.allow_local_search || cert.has_value(),
                 "estimate_opt: no applicable bound (local search disabled "
                 "and no certificate)");

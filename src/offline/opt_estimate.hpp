@@ -18,6 +18,7 @@
 // bug and throws.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "instance/instance.hpp"
@@ -50,6 +51,11 @@ struct OptEstimateOptions {
   /// so only ratio-reporting paths opt in.
   bool compute_lower = false;
 };
+
+/// The exact-OPT chain (steps 1–3 above) that estimate_opt and the bound
+/// registry's `auto` share: exact value and method, or nullopt when no
+/// exact solver applies. The lower-bound fields are left unset.
+std::optional<OptEstimate> exact_opt(const Instance& instance);
 
 OptEstimate estimate_opt(const Instance& instance,
                          const OptEstimateOptions& options = {});

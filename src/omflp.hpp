@@ -18,7 +18,6 @@
 #include "analysis/bounds.hpp"
 #include "analysis/c_ordered_covering.hpp"
 #include "analysis/competitive.hpp"
-#include "analysis/dual_feasibility.hpp"
 #include "analysis/experiment.hpp"
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"

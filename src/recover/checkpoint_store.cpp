@@ -156,14 +156,17 @@ std::optional<CheckpointManifest> CheckpointStore::latest_valid() const {
   return std::move(loaded->manifest);
 }
 
-std::optional<LoadedGeneration> CheckpointStore::load_latest_valid() const {
+std::optional<LoadedGeneration> CheckpointStore::load_latest_valid(
+    std::uint64_t* skipped) const {
   std::vector<std::uint64_t> generations;
   try {
     generations = list_generations();
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
+  std::uint64_t passed = 0;
+  for (auto it = generations.rbegin(); it != generations.rend();
+       ++it, ++passed) {
     std::optional<CheckpointManifest> manifest =
         parse_manifest(manifest_path(*it));
     if (!manifest || manifest->generation != *it) continue;
@@ -176,9 +179,11 @@ std::optional<LoadedGeneration> CheckpointStore::load_latest_valid() const {
     }
     if (loaded.payloads.size() == manifest->tenants.size()) {
       loaded.manifest = std::move(*manifest);
+      if (skipped != nullptr) *skipped = passed;
       return loaded;
     }
   }
+  if (skipped != nullptr) *skipped = passed;
   return std::nullopt;
 }
 

@@ -75,8 +75,12 @@ class CheckpointStore {
   /// start). Never throws.
   std::optional<CheckpointManifest> latest_valid() const;
   /// The same scan, keeping the bytes it validated so restore parses
-  /// them without reading any file a second time.
-  std::optional<LoadedGeneration> load_latest_valid() const;
+  /// them without reading any file a second time. `skipped`, when given,
+  /// receives the number of newer generations passed over (manifest
+  /// unparsable, tenant file torn or corrupt); with no valid generation,
+  /// every one listed. Left untouched if the directory cannot be listed.
+  std::optional<LoadedGeneration> load_latest_valid(
+      std::uint64_t* skipped = nullptr) const;
 
   /// Removes every generation except the `keep` newest among
   /// `generations` (ascending). Missing files are ignored.

@@ -814,6 +814,53 @@ TEST(BoundRegistry, RosterAndErrors) {
   EXPECT_EQ(picked.lower, exact.lower);
 }
 
+// `auto` and estimate_opt share one exact chain: on single-point
+// scenarios the DP's exact value, never a dual-ascent bound that can sit
+// an ulp above it.
+TEST(BoundRegistry, AutoTakesTheSinglePointDpOnSinglePointScenarios) {
+  for (const char* name : {"shared-demand", "single-point-mixed"})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Instance instance = default_scenario_registry().make(name, seed);
+      const BoundOutcome picked = default_bound_registry().make("auto",
+                                                                instance);
+      const OptEstimate opt = estimate_opt(instance);
+      EXPECT_EQ(picked.method, "single-point-dp") << name << " " << seed;
+      EXPECT_TRUE(picked.exact) << name << " " << seed;
+      EXPECT_EQ(picked.lower, opt.cost) << name << " " << seed;
+      EXPECT_EQ(opt.method, "single-point-dp") << name << " " << seed;
+    }
+}
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The dual-ascent certificate, byte for byte: FNV-1a 64 digests and
+// lengths of the OMFLP-CERT text on uniform-line seeds 1-3, recorded
+// before the certificate assembly moved into seal_certificate.
+TEST(DualAscent, CertificateBytesArePinned) {
+  const struct {
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::size_t length;
+  } pinned[] = {{1, 0x597752b45956635cULL, 6314},
+                {2, 0x66ba1474e2950b6bULL, 5831},
+                {3, 0x583abfb282be4154ULL, 6147}};
+  for (const auto& pin : pinned) {
+    const Instance instance =
+        default_scenario_registry().make("uniform-line", pin.seed);
+    const std::string text =
+        certificate_to_string(dual_ascent_lower_bound(instance).certificate);
+    EXPECT_EQ(text.size(), pin.length) << "seed " << pin.seed;
+    EXPECT_EQ(fnv1a64(text), pin.digest) << "seed " << pin.seed;
+  }
+}
+
 // `omflp bound --save-cert` saves the outcome certificate_outcome picks.
 // Under the default method every registered scenario yields a verified
 // certificate whose bound stays at or below the printed one, exact

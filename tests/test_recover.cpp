@@ -913,6 +913,57 @@ TEST(EngineRecovery, CheckpointBytesGaugeTracksNewestGeneration) {
   EXPECT_EQ(restored.checkpoint_bytes, newest);
 }
 
+// Recovery names the generations it could not read. A run publishes
+// two generations; `garbled` of them (newest first) get a manifest that
+// does not parse, and a restore-only rerun reports how many it skipped.
+EngineResult rerun_over_garbled_manifests(const std::string& dir_name,
+                                          std::size_t garbled,
+                                          std::uint64_t* survivor_round) {
+  const std::vector<TenantSpec> specs = engine_tenants("pd");
+  ScratchDir dir(dir_name);
+  EngineOptions options;
+  options.batch_size = 256;
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 2;
+  (void)ShardedEngine(specs, options).run();
+
+  CheckpointStore store(dir.str());
+  const std::vector<std::uint64_t> generations = store.list_generations();
+  EXPECT_EQ(generations.size(), 2u);
+  for (std::size_t k = 0; k < garbled; ++k)
+    spill(store.manifest_path(generations[generations.size() - 1 - k]),
+          "not a manifest\n");
+  const auto survivor = store.latest_valid();
+  *survivor_round = survivor ? survivor->round : 0;
+
+  options.checkpoint_every = 0;
+  return ShardedEngine(specs, options).run();
+}
+
+TEST(EngineRecovery, GarbageNewestManifestIsSkippedAndCounted) {
+  std::uint64_t survivor_round = 0;
+  const EngineResult rerun =
+      rerun_over_garbled_manifests("garbled-newest", 1, &survivor_round);
+  EXPECT_GT(survivor_round, 0u);
+  EXPECT_EQ(rerun.restored_from_round, survivor_round);
+  EXPECT_EQ(rerun.skipped_generations, 1u);
+
+  EngineOptions plain;
+  plain.batch_size = 256;
+  expect_engine_results_identical(
+      rerun, ShardedEngine(engine_tenants("pd"), plain).run(),
+      "restored past a garbled manifest");
+}
+
+TEST(EngineRecovery, AllManifestsGarbageStartsColdAndSaysSo) {
+  std::uint64_t survivor_round = 0;
+  const EngineResult rerun =
+      rerun_over_garbled_manifests("garbled-all", 2, &survivor_round);
+  EXPECT_EQ(survivor_round, 0u);
+  EXPECT_EQ(rerun.restored_from_round, 0u);
+  EXPECT_EQ(rerun.skipped_generations, 2u);
+}
+
 TEST(EngineRecovery, RestoreGuardsRosterAndPlacement) {
   const std::vector<TenantSpec> specs = engine_tenants("greedy");
   ScratchDir dir("guards");

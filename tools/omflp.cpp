@@ -892,12 +892,22 @@ int cmd_serve(const ServeArgs& a) {
             << " events/s aggregate (" << result.wall_ns / 1e6
             << " ms wall)\n";
   if (result.restored_from_round > 0 || result.checkpoints_published > 0 ||
-      restarts > 0)
-    std::cout << "recovery   restored from round "
-              << result.restored_from_round << ", "
-              << result.checkpoints_published
+      restarts > 0 || result.skipped_generations > 0) {
+    // A skipped generation was unreadable (torn, corrupt or unparsable);
+    // with none valid the run started cold.
+    const std::uint64_t skipped = result.skipped_generations;
+    std::cout << "recovery   ";
+    if (result.restored_from_round == 0 && skipped > 0)
+      std::cout << "no valid checkpoint generation, started from round 0";
+    else
+      std::cout << "restored from round " << result.restored_from_round;
+    if (skipped > 0)
+      std::cout << " (" << skipped << " unreadable generation"
+                << (skipped == 1 ? "" : "s") << " skipped)";
+    std::cout << ", " << result.checkpoints_published
               << " checkpoint generations published, " << restarts
               << " injected crash" << (restarts == 1 ? "" : "es") << "\n";
+  }
   if (!options.checkpoint_dir.empty()) {
     std::uint64_t active = 0;
     for (const TenantResult& tenant : result.tenants)
